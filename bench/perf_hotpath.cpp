@@ -5,8 +5,9 @@
 //
 //   $ ./perf_hotpath --json | tail -n1 > BENCH_perf_hotpath.json
 //
-// Each section times the reference (pre-optimization) path against the fast
-// path on the same inputs and reports both wall times plus the ratio. Like
+// Each section times the reference (pre-optimization) path — the test
+// oracles in tests/oracles/ — against the fast path on the same inputs and
+// reports both wall times plus the ratio. Like
 // perf_engine, this JSON intentionally contains wall times — do not use it
 // in the CI determinism diff. The *correctness* of each pair is covered by
 // the equivalence test suites (tests/dsp/convolve_equivalence_test.cpp and
@@ -20,6 +21,7 @@
 #include "dsp/kernels/kernels.h"
 #include "dsp/pulse.h"
 #include "dsp/rng.h"
+#include "oracles/oracles.h"
 #include "sim/link.h"
 #include "zigbee/app.h"
 #include "zigbee/chip_sequences.h"
@@ -103,7 +105,7 @@ int main(int argc, char** argv) {
     std::size_t accepted = 0;
     for (std::size_t offset = 0; offset < chips.size();
          offset += zigbee::kChipsPerSymbol) {
-      const auto block = zigbee::despread_block_reference(
+      const auto block = oracles::despread_block(
           std::span<const std::uint8_t>(chips).subspan(offset,
                                                        zigbee::kChipsPerSymbol),
           threshold);
@@ -134,9 +136,7 @@ int main(int argc, char** argv) {
   const cvec frame_waveform = zigbee::Transmitter().transmit_frame(frames[0]);
   zigbee::ReceiverConfig rx_config;
   rx_config.timing_recovery = true;
-  rx_config.precompute_timing_grid = false;
-  const zigbee::Receiver receiver_percall(rx_config);
-  rx_config.precompute_timing_grid = true;
+  const oracles::PerCallTimingReceiver receiver_percall(rx_config);
   const zigbee::Receiver receiver_grid(rx_config);
   const double receive_percall_ms = time_ms(reps, [&] {
     const auto result = receiver_percall.receive(frame_waveform);
@@ -156,13 +156,10 @@ int main(int argc, char** argv) {
   // normalization); cached calls only copy the stored waveform out.
   sim::LinkConfig link_config;
   link_config.kind = sim::LinkKind::emulated;
-  link_config.memoize_waveforms = false;
-  const sim::Link link_uncached(link_config);
-  link_config.memoize_waveforms = true;
   const sim::Link link_cached(link_config);
   link_cached.clean_waveform(frames[0]);  // fill outside the timed region
   const double clean_uncached_ms = time_ms(reps, [&] {
-    const cvec waveform = link_uncached.clean_waveform(frames[0]);
+    const cvec waveform = oracles::clean_waveform(link_config, frames[0]);
     g_sink = g_sink + waveform.front().real();
   });
   const double clean_cached_ms = time_ms(reps, [&] {

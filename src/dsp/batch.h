@@ -1,14 +1,13 @@
 // Structure-of-arrays batch workspace for multi-trial DSP pipelines.
 //
-// A batched trial processes B independent realizations of the same frame:
-// the waveform is one row per trial, and every channel stage sweeps all
-// rows before the next stage runs (stage-major order). The rows live in
-// one contiguous rows x stride allocation so the sweep is a single linear
-// pass — cache-friendly and free of per-trial allocations.
-//
-// BatchView is the non-owning window stages operate through; BatchBuffer
-// owns the storage and is designed to be kept thread_local by hot loops
-// (reset() only reallocates when the batch outgrows the old one).
+// A batched sweep processes B independent realizations of the same frame
+// (the mesh's one-frame-per-sensor channel sweep): the waveform is one row
+// per realization, and every channel stage sweeps all rows before the next
+// stage runs (stage-major order). The rows live in one contiguous
+// rows x stride allocation so the sweep is a single linear pass —
+// cache-friendly and free of per-row allocations. BatchBuffer is designed
+// to be kept thread_local by hot loops (reset() only reallocates when the
+// batch outgrows the old one).
 #pragma once
 
 #include <cstddef>
@@ -19,30 +18,6 @@
 #include "dsp/types.h"
 
 namespace ctc::dsp {
-
-/// Non-owning view over `rows` equal-length complex rows laid out
-/// contiguously with spacing `stride`. Row r occupies
-/// [data + r*stride, data + r*stride + stride).
-class BatchView {
- public:
-  BatchView() = default;
-  BatchView(cplx* data, std::size_t rows, std::size_t stride)
-      : data_(data), rows_(rows), stride_(stride) {}
-
-  std::size_t rows() const { return rows_; }
-  /// Row length == spacing; rows are dense.
-  std::size_t stride() const { return stride_; }
-
-  std::span<cplx> row(std::size_t r) const {
-    CTC_REQUIRE(r < rows_);
-    return {data_ + r * stride_, stride_};
-  }
-
- private:
-  cplx* data_ = nullptr;
-  std::size_t rows_ = 0;
-  std::size_t stride_ = 0;
-};
 
 /// Owning SoA batch storage. reset() reshapes without shrinking the
 /// underlying allocation, so a thread_local BatchBuffer reaches a steady
@@ -68,8 +43,6 @@ class BatchBuffer {
     CTC_REQUIRE(r < rows_);
     return {storage_.data() + r * stride_, stride_};
   }
-
-  BatchView view() { return BatchView(storage_.data(), rows_, stride_); }
 
  private:
   std::vector<cplx> storage_;

@@ -38,17 +38,6 @@ cvec convolve_direct(std::span<const cplx> signal, std::span<const double> taps)
   return out;
 }
 
-cvec convolve_direct_reference(std::span<const cplx> signal,
-                               std::span<const double> taps) {
-  CTC_REQUIRE(!taps.empty());
-  if (signal.empty()) return {};
-  cvec out(signal.size() + taps.size() - 1, cplx{0.0, 0.0});
-  kernels::table(kernels::SimdLevel::scalar)
-      .fir_mac(signal.data(), signal.size(), taps.data(), taps.size(),
-               out.data());
-  return out;
-}
-
 bool use_fft_convolution(std::size_t signal_size, std::size_t taps_size) {
   // Measured with bench/perf_hotpath (Release, this FftPlan): the direct
   // form's real-taps MAC loop vectorizes to ~0.5 ns per tap-sample, so FFT

@@ -33,12 +33,6 @@ cvec convolve(std::span<const cplx> signal, std::span<const double> taps);
 /// window's sample values, never on position.
 cvec convolve_direct(std::span<const cplx> signal, std::span<const double> taps);
 
-/// Pinned pre-optimization scatter loop (the scalar kernel table); the
-/// equivalence tests compare the dispatched direct and FFT paths against
-/// this oracle.
-cvec convolve_direct_reference(std::span<const cplx> signal,
-                               std::span<const double> taps);
-
 /// FFT convolution: zero-pad both operands to the next power of two >=
 /// n + t - 1, multiply spectra, inverse transform. Uses the shared FftPlan
 /// cache and thread-local scratch, so steady-state calls do not allocate.

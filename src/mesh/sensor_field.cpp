@@ -82,9 +82,8 @@ MeshObservation SensorField::observe_frame(const zigbee::MacFrame& frame,
 
   MeshObservation observation;
   observation.sensors.resize(sensors);
-  // Shadowing draws come FIRST on every sensor's stream (before its channel
-  // draws), in both the batched and the serial path, so the two stay
-  // bit-identical.
+  // Shadowing draws come FIRST on every sensor's stream, before its channel
+  // draws.
   for (std::size_t s = 0; s < sensors; ++s) {
     SensorObservation& sensor = observation.sensors[s];
     sensor.snr_db = environments_[s].snr_db;
@@ -93,32 +92,22 @@ MeshObservation SensorField::observe_frame(const zigbee::MacFrame& frame,
         config_.shadow_sigma_db * sensor_rngs[s].gaussian();
   }
 
-  auto decode = [&](std::size_t s, std::span<const cplx> received) {
+  thread_local dsp::BatchBuffer batch;
+  channel::propagate_batch_multi(batch, clean, environments_,
+                                 std::span<dsp::Rng>(sensor_rngs));
+  for (std::size_t s = 0; s < sensors; ++s) {
     SensorObservation& sensor = observation.sensors[s];
-    const zigbee::ReceiveResult rx = receiver_.receive(received);
+    const zigbee::ReceiveResult rx = receiver_.receive(batch.row(s));
     const rvec& chips = config_.tap == sim::DefenseTap::discriminator
                             ? rx.freq_chips
                             : rx.soft_chips;
     sensor.usable = chips.size() >= kMinChipSamples;
-    if (!sensor.usable) return;
+    if (!sensor.usable) continue;
     const defense::Verdict verdict = detector_.classify(chips);
     sensor.is_attack = verdict.is_attack;
     sensor.de2 = verdict.distance_sq;
     sensor.c40 = verdict.feature.c40;
     sensor.c42 = verdict.feature.c42;
-  };
-
-  if (config_.batched_channel) {
-    thread_local dsp::BatchBuffer batch;
-    channel::propagate_batch_multi(batch, clean, environments_,
-                                   std::span<dsp::Rng>(sensor_rngs));
-    for (std::size_t s = 0; s < sensors; ++s) decode(s, batch.row(s));
-  } else {
-    thread_local cvec received;
-    for (std::size_t s = 0; s < sensors; ++s) {
-      environments_[s].propagate_into(received, clean, sensor_rngs[s]);
-      decode(s, received);
-    }
   }
 
   std::vector<SensorVote> votes(sensors);

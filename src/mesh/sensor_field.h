@@ -13,9 +13,8 @@
 //
 // The per-sensor channel sweep reuses the SoA batch path: M sensors are a
 // natural batch, one row per sensor, pushed through
-// channel::propagate_batch_multi in a single stage-major sweep. The serial
-// per-sensor path is kept behind `batched_channel = false` as the bit-
-// identical reference for the equivalence test.
+// channel::propagate_batch_multi in a single stage-major sweep; row s is
+// bit-for-bit environment s's serial propagate() of the same stream.
 #pragma once
 
 #include <cstddef>
@@ -79,10 +78,6 @@ struct MeshConfig {
   /// Class-conditional DE^2 models for the Bayesian rule (shared by all
   /// sensors).
   GaussianPair bayes;
-
-  /// SoA multi-environment channel sweep vs the serial per-sensor
-  /// reference; bit-identical either way.
-  bool batched_channel = true;
 };
 
 /// One sensor's view of one trial.

@@ -31,20 +31,10 @@ struct FrameStats {
   double success_rate() const;  ///< 1 - PER (Table II's "successful rate")
 };
 
-/// Historical name, kept for callers that predate the trial engine.
-using LinkStats = FrameStats;
-
 /// Sends `count` copies drawn from `frames` (cycled) through the link, one
 /// engine trial per frame, parallel across the engine's thread pool.
 FrameStats run_frames(const Link& link,
                       std::span<const zigbee::MacFrame> frames,
                       std::size_t count, TrialEngine& engine);
-
-/// Serial compatibility path: threads one caller-owned generator through
-/// the trials in order. Deterministic for a fixed `rng` state but bound to
-/// one core; prefer the TrialEngine overload.
-FrameStats run_frames(const Link& link,
-                      std::span<const zigbee::MacFrame> frames,
-                      std::size_t count, dsp::Rng& rng);
 
 }  // namespace ctc::sim

@@ -28,16 +28,9 @@ struct DespreadResult {
 
 /// Despreads one 32-chip block with the given correlation threshold
 /// (maximum tolerated Hamming distance). Packs the block once and matches
-/// all 16 table rows with XOR + popcount; bit-identical to
-/// despread_block_reference() (same distances, same tie-break order).
+/// all 16 table rows with XOR + popcount; ties go to the lowest symbol.
 DespreadResult despread_block(std::span<const std::uint8_t> chips,
                               std::size_t threshold);
-
-/// Byte-level reference implementation of despread_block(): the
-/// pre-optimization 16 x 32 Hamming loop, kept as the equivalence-test
-/// oracle for the packed fast path.
-DespreadResult despread_block_reference(std::span<const std::uint8_t> chips,
-                                        std::size_t threshold);
 
 /// Despreads a whole chip stream (size must be a multiple of 32). Blocks over
 /// threshold are reported with accepted == false; callers decide whether to
@@ -59,16 +52,9 @@ std::vector<DespreadResult> despread_differential(
 /// Single-block differential matcher. `previous_chip` < 2 is the last chip
 /// of the preceding symbol; pass 2 to exclude chip 0 from the distance.
 /// Packs the observed frequency signs once and matches every candidate's
-/// precomputed differential signature with XOR + popcount; bit-identical to
-/// despread_differential_block_reference().
+/// precomputed differential signature with XOR + popcount.
 DespreadResult despread_differential_block(std::span<const double> freq_chips,
                                            std::uint8_t previous_chip,
                                            std::size_t threshold);
-
-/// Per-chip reference implementation of despread_differential_block(), kept
-/// as the equivalence-test oracle for the packed fast path.
-DespreadResult despread_differential_block_reference(
-    std::span<const double> freq_chips, std::uint8_t previous_chip,
-    std::size_t threshold);
 
 }  // namespace ctc::zigbee

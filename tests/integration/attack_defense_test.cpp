@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dsp/stats.h"
+#include "oracles/oracles.h"
 #include "sim/defense_run.h"
 #include "sim/link.h"
 #include "sim/metrics.h"
@@ -10,6 +11,11 @@
 
 namespace ctc::sim {
 namespace {
+
+// Each test threads one generator through its trials in order: the serial
+// trial loops of the oracle library.
+using oracles::collect_defense_samples;
+using oracles::run_frames;
 
 std::vector<zigbee::MacFrame> workload() { return zigbee::make_text_workload(10); }
 
@@ -29,7 +35,7 @@ TEST(AttackIntegrationTest, EmulatedFramesControlTheReceiverAtHighSnr) {
   // Table II end state: at 17 dB the attack succeeds (~100%).
   dsp::Rng rng(200);
   const auto frames = workload();
-  const LinkStats stats = run_frames(Link(emulated_at(17.0)), frames, 30, rng);
+  const FrameStats stats = run_frames(Link(emulated_at(17.0)), frames, 30, rng);
   EXPECT_GE(stats.success_rate(), 0.95);
 }
 
@@ -50,14 +56,14 @@ TEST(AttackIntegrationTest, SuccessRateRisesWithSnr) {
 TEST(AttackIntegrationTest, AuthenticLinkIsCleanWhereAttackDegrades) {
   dsp::Rng rng(202);
   const auto frames = workload();
-  const LinkStats authentic = run_frames(Link(authentic_at(7.0)), frames, 30, rng);
+  const FrameStats authentic = run_frames(Link(authentic_at(7.0)), frames, 30, rng);
   EXPECT_GE(authentic.success_rate(), 0.95);
   // Fig. 7: authentic chips match exactly at high SNR; emulated do not.
-  const LinkStats clean = run_frames(Link(authentic_at(30.0)), frames, 5, rng);
+  const FrameStats clean = run_frames(Link(authentic_at(30.0)), frames, 5, rng);
   for (const auto& [distance, count] : clean.hamming_histogram) {
     EXPECT_EQ(distance, 0u);
   }
-  const LinkStats attacked = run_frames(Link(emulated_at(30.0)), frames, 5, rng);
+  const FrameStats attacked = run_frames(Link(emulated_at(30.0)), frames, 5, rng);
   std::size_t nonzero = 0;
   for (const auto& [distance, count] : attacked.hamming_histogram) {
     if (distance > 0) nonzero += count;

@@ -4,6 +4,7 @@
 
 #include "defense/detector.h"
 #include "dsp/stats.h"
+#include "oracles/oracles.h"
 #include "sim/interference.h"
 #include "sim/link.h"
 #include "sim/metrics.h"
@@ -78,7 +79,7 @@ TEST(RfPathLinkTest, AttackThroughCarrierAllocationStillControls) {
   config.attack_via_rf = true;
   config.environment = channel::Environment::awgn(17.0);
   const auto frames = zigbee::make_text_workload(5);
-  const LinkStats stats = run_frames(Link(config), frames, 10, rng);
+  const FrameStats stats = oracles::run_frames(Link(config), frames, 10, rng);
   EXPECT_GE(stats.success_rate(), 0.9);
 }
 

@@ -107,7 +107,7 @@ TEST(FailureInjectionTest, DetectorThrowsOnAllZeroChips) {
 }
 
 TEST(FailureInjectionTest, StatsRequireTraffic) {
-  sim::LinkStats stats;
+  sim::FrameStats stats;
   EXPECT_THROW(stats.packet_error_rate(), ContractError);
   EXPECT_THROW(stats.symbol_error_rate(), ContractError);
 }
@@ -119,10 +119,10 @@ TEST(FailureInjectionTest, DefenseSamplesRequireFrames) {
 }
 
 TEST(FailureInjectionTest, RunFramesRequiresWorkload) {
-  dsp::Rng rng(214);
+  sim::TrialEngine engine({214, 1});
   sim::LinkConfig config;
   const sim::Link link(config);
-  EXPECT_THROW(sim::run_frames(link, {}, 5, rng), ContractError);
+  EXPECT_THROW(sim::run_frames(link, {}, 5, engine), ContractError);
 }
 
 TEST(FailureInjectionTest, TableRejectsMalformedRows) {
@@ -134,12 +134,12 @@ TEST(FailureInjectionTest, TableRejectsMalformedRows) {
 TEST(FailureInjectionTest, DeepFadeFramesAreCountedNotCrashed) {
   // Rayleigh fading with no LoS at long distance: many frames die; the
   // harness accounts for every one.
-  dsp::Rng rng(215);
+  sim::TrialEngine engine({215, 1});
   sim::LinkConfig config;
   config.environment = channel::Environment::real_world(8.0);
   config.environment.rician_k_factor = 0.0;  // pure Rayleigh
   const auto frames = zigbee::make_text_workload(5);
-  const auto stats = sim::run_frames(sim::Link(config), frames, 20, rng);
+  const auto stats = sim::run_frames(sim::Link(config), frames, 20, engine);
   EXPECT_EQ(stats.frames_sent, 20u);
   EXPECT_LE(stats.frames_ok, 20u);
 }

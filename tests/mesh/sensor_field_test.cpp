@@ -11,10 +11,9 @@
 namespace ctc::mesh {
 namespace {
 
-MeshConfig small_field(std::size_t sensors, bool batched = true) {
+MeshConfig small_field(std::size_t sensors) {
   MeshConfig config;
   config.sensors = sensors;
-  config.batched_channel = batched;
   return config;
 }
 
@@ -59,20 +58,6 @@ TEST(SensorFieldTest, RejectsDegenerateConfigs) {
   MeshConfig on_top = small_field(4);
   on_top.attacker = Vec2{-4.0, -4.0};  // exactly on the first grid sensor
   EXPECT_THROW(SensorField{on_top}, ContractError);
-}
-
-TEST(SensorFieldTest, BatchedAndSerialChannelsAreBitIdentical) {
-  const SensorField batched(small_field(9, true));
-  const SensorField serial(small_field(9, false));
-  const auto frames = workload();
-
-  sim::TrialEngine engine({20190707, 1});
-  const std::uint64_t run_index = engine.next_run_index();
-  const MeshStats batched_stats =
-      run_mesh_trials(batched, frames, 6, engine);
-  engine.seek_run(run_index);
-  const MeshStats serial_stats = run_mesh_trials(serial, frames, 6, engine);
-  expect_same_stats(batched_stats, serial_stats);
 }
 
 TEST(SensorFieldTest, ThreadCountDoesNotChangeTheNumbers) {

@@ -6,8 +6,8 @@
 // the `tsan` preset — they make ThreadSanitizer see the cache's
 // synchronization edges under real contention — and double as functional
 // regressions: whatever the interleaving, every thread must observe the
-// same bit-identical cached waveform and per-seed send results must match a
-// serial reference exactly.
+// same cached waveform, bit-identical to the uncached synthesis oracle, and
+// per-seed send results must match a serial reference exactly.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dsp/rng.h"
+#include "oracles/oracles.h"
 #include "sim/link.h"
 #include "sim/thread_pool.h"
 #include "zigbee/app.h"
@@ -27,7 +28,6 @@ LinkConfig shared_link_config() {
   LinkConfig config;
   config.kind = LinkKind::authentic;
   config.environment = channel::Environment::awgn(9.0);
-  config.memoize_waveforms = true;
   return config;
 }
 
@@ -41,7 +41,7 @@ TEST(LinkCacheStress, ConcurrentColdFillsAgreeBitwise) {
     const Link link(shared_link_config());
     std::vector<cvec> reference(frames.size());
     for (std::size_t f = 0; f < frames.size(); ++f) {
-      reference[f] = Link(shared_link_config()).clean_waveform(frames[f]);
+      reference[f] = oracles::clean_waveform(shared_link_config(), frames[f]);
     }
     std::atomic<std::size_t> mismatches{0};
     pool.parallel_for(48, [&](std::size_t task) {

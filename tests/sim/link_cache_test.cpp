@@ -1,29 +1,32 @@
 // Equivalence suite for sim::Link's clean-waveform memoization.
 //
 // The cache stores the output of a pure function (frame bytes -> synthesis
-// chain), so the contract is exact: with memoization on, clean_waveform and
-// send must be bit-identical to the uncached reference path given the same
-// RNG stream. The telemetry tests pin the hit/miss accounting that
+// chain), so the contract is exact: clean_waveform must be bit-identical to
+// the uncached synthesis oracle (tests/oracles), and a send that fills the
+// cache must be bit-identical to one that hits it, given the same RNG
+// stream. The telemetry tests pin the hit/miss accounting that
 // PERFORMANCE.md documents.
 #include "sim/link.h"
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dsp/rng.h"
+#include "oracles/oracles.h"
 #include "sim/telemetry.h"
 #include "zigbee/app.h"
 
 namespace ctc::sim {
 namespace {
 
-LinkConfig link_config(LinkKind kind, bool memoize) {
+LinkConfig link_config(LinkKind kind) {
   LinkConfig config;
   config.kind = kind;
   config.environment = channel::Environment::awgn(8.0);
-  config.memoize_waveforms = memoize;
   return config;
 }
 
@@ -51,51 +54,57 @@ void expect_identical_observations(const FrameObservation& a,
 }
 
 TEST(LinkCacheTest, CleanWaveformIsBitIdenticalToUncached) {
-  for (LinkKind kind : {LinkKind::authentic, LinkKind::emulated}) {
-    SCOPED_TRACE(kind == LinkKind::authentic ? "authentic" : "emulated");
-    const Link cached(link_config(kind, true));
-    const Link uncached(link_config(kind, false));
+  LinkConfig via_rf = link_config(LinkKind::emulated);
+  via_rf.attack_via_rf = true;
+  const std::vector<std::pair<std::string, LinkConfig>> configs = {
+      {"authentic", link_config(LinkKind::authentic)},
+      {"emulated", link_config(LinkKind::emulated)},
+      {"emulated via RF", via_rf}};
+  for (const auto& [name, config] : configs) {
+    SCOPED_TRACE(name);
+    const Link cached(config);
     for (unsigned index : {0u, 1u, 42u}) {
       const auto frame = zigbee::make_text_frame(index, index & 0xFF);
       // Twice through the cached link: first call fills, second call hits.
       // Both must equal the reference synthesis exactly.
       const cvec fill = cached.clean_waveform(frame);
       const cvec hit = cached.clean_waveform(frame);
-      const cvec reference = uncached.clean_waveform(frame);
+      const cvec reference = oracles::clean_waveform(config, frame);
       expect_identical_waveforms(fill, reference);
       expect_identical_waveforms(hit, reference);
     }
   }
 }
 
+/// A send on a cold link (the send fills the cache) must reproduce a send on
+/// a primed link (the send hits it) field for field. Noise draws consume the
+/// identical RNG sequence because the clean waveform lengths match exactly.
+void expect_cold_send_matches_primed(LinkKind kind,
+                                     const zigbee::MacFrame& frame,
+                                     std::uint64_t seed) {
+  const Link cold(link_config(kind));
+  const Link primed(link_config(kind));
+  primed.prime(std::span<const zigbee::MacFrame>(&frame, 1));
+  dsp::Rng rng_cold(seed);
+  dsp::Rng rng_primed(seed);
+  expect_identical_observations(cold.send(frame, rng_cold),
+                                primed.send(frame, rng_primed));
+}
+
 TEST(LinkCacheTest, SendIsBitIdenticalToUncached) {
-  // Same frame, same per-call RNG stream: the cached send path (memoized
-  // clean waveform + hoisted PSDU + propagate_into) must reproduce the
-  // uncached observation field for field. Noise draws consume the identical
-  // RNG sequence because the clean waveform lengths match exactly.
-  const Link cached(link_config(LinkKind::authentic, true));
-  const Link uncached(link_config(LinkKind::authentic, false));
   for (unsigned index : {0u, 7u}) {
     const auto frame = zigbee::make_text_frame(index, 1);
     for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
       SCOPED_TRACE("frame " + std::to_string(index) + " seed " +
                    std::to_string(seed));
-      dsp::Rng rng_cached(seed);
-      dsp::Rng rng_uncached(seed);
-      expect_identical_observations(cached.send(frame, rng_cached),
-                                    uncached.send(frame, rng_uncached));
+      expect_cold_send_matches_primed(LinkKind::authentic, frame, seed);
     }
   }
 }
 
 TEST(LinkCacheTest, EmulatedSendIsBitIdenticalToUncached) {
-  const Link cached(link_config(LinkKind::emulated, true));
-  const Link uncached(link_config(LinkKind::emulated, false));
-  const auto frame = zigbee::make_text_frame(3, 3);
-  dsp::Rng rng_cached(99);
-  dsp::Rng rng_uncached(99);
-  expect_identical_observations(cached.send(frame, rng_cached),
-                                uncached.send(frame, rng_uncached));
+  expect_cold_send_matches_primed(LinkKind::emulated,
+                                  zigbee::make_text_frame(3, 3), 99);
 }
 
 /// Enables telemetry for the test body; restores off + clean on exit.
@@ -122,7 +131,7 @@ class LinkCacheTelemetryTest : public ::testing::Test {
 };
 
 TEST_F(LinkCacheTelemetryTest, PrimeFillsOncePerFrameThenSendsHit) {
-  const Link link(link_config(LinkKind::authentic, true));
+  const Link link(link_config(LinkKind::authentic));
   const auto frames = zigbee::make_text_workload(4);
 
   link.prime(frames);
@@ -136,17 +145,6 @@ TEST_F(LinkCacheTelemetryTest, PrimeFillsOncePerFrameThenSendsHit) {
   EXPECT_EQ(counter(metrics, "waveform_cache_misses"), frames.size());
   // 4 from the second prime + 4 from the sends.
   EXPECT_EQ(counter(metrics, "waveform_cache_hits"), 2 * frames.size());
-}
-
-TEST_F(LinkCacheTelemetryTest, MemoizationOffRecordsNoCacheTraffic) {
-  const Link link(link_config(LinkKind::authentic, false));
-  const auto frame = zigbee::make_text_frame(0, 0);
-  dsp::Rng rng(5);
-  (void)link.send(frame, rng);
-  (void)link.clean_waveform(frame);
-  const auto metrics = telemetry::collect();
-  EXPECT_EQ(counter(metrics, "waveform_cache_misses"), 0u);
-  EXPECT_EQ(counter(metrics, "waveform_cache_hits"), 0u);
 }
 
 }  // namespace

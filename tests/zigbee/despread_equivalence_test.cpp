@@ -3,12 +3,13 @@
 // Unlike the FFT convolution pair, these two implementations are integer
 // pipelines with the same tie-break order (lowest symbol index wins), so
 // the contract is exact: symbol, distance and accepted must match the byte
-// reference bit-for-bit for every input.
+// reference (tests/oracles) bit-for-bit for every input.
 #include "zigbee/dsss.h"
 
 #include <gtest/gtest.h>
 
 #include "dsp/rng.h"
+#include "oracles/oracles.h"
 #include "zigbee/chip_sequences.h"
 
 namespace ctc::zigbee {
@@ -63,7 +64,7 @@ TEST(DespreadEquivalenceTest, BlockMatchesReferenceAcrossErrorPatterns) {
       for (std::size_t threshold : {0u, 5u, 10u, 32u}) {
         const DespreadResult fast = despread_block(chips, threshold);
         const DespreadResult reference =
-            despread_block_reference(chips, threshold);
+            oracles::despread_block(chips, threshold);
         EXPECT_EQ(fast.symbol, reference.symbol)
             << "symbol " << int(symbol) << " errors " << pattern.size();
         EXPECT_EQ(fast.distance, reference.distance);
@@ -81,7 +82,7 @@ TEST(DespreadEquivalenceTest, BlockMatchesReferenceOnRandomChips) {
     std::vector<std::uint8_t> chips(kChipsPerSymbol);
     for (auto& c : chips) c = rng.uniform(0.0, 1.0) < 0.5 ? 0 : 1;
     const DespreadResult fast = despread_block(chips, 10);
-    const DespreadResult reference = despread_block_reference(chips, 10);
+    const DespreadResult reference = oracles::despread_block(chips, 10);
     EXPECT_EQ(fast.symbol, reference.symbol) << "trial " << trial;
     EXPECT_EQ(fast.distance, reference.distance);
     EXPECT_EQ(fast.accepted, reference.accepted);
@@ -103,7 +104,7 @@ TEST(DespreadEquivalenceTest, DifferentialBlockMatchesReference) {
       const DespreadResult fast =
           despread_differential_block(freq, previous, 9);
       const DespreadResult reference =
-          despread_differential_block_reference(freq, previous, 9);
+          oracles::despread_differential_block(freq, previous, 9);
       EXPECT_EQ(fast.symbol, reference.symbol)
           << "trial " << trial << " previous " << int(previous);
       EXPECT_EQ(fast.distance, reference.distance);

@@ -1,14 +1,16 @@
 // Equivalence suite for the receiver's precomputed timing-search grid.
 //
-// The grid caches exactly what the per-call search derives — the same tau
+// The grid caches exactly what a per-call search derives — the same tau
 // sequence, the same fractional_delay references, the same energy summation
 // order — so unlike the FFT convolution pair the contract here is bitwise:
-// every field of every ReceiveResult must match the per-call path exactly.
+// every field of every ReceiveResult must match the per-call oracle
+// (tests/oracles) exactly.
 #include <gtest/gtest.h>
 
 #include "channel/environment.h"
 #include "channel/impairments.h"
 #include "dsp/rng.h"
+#include "oracles/oracles.h"
 #include "zigbee/app.h"
 #include "zigbee/receiver.h"
 #include "zigbee/transmitter.h"
@@ -38,10 +40,8 @@ TEST(TimingGridEquivalenceTest, GridReceiveIsBitIdenticalToPerCall) {
 
   ReceiverConfig config;
   config.timing_recovery = true;
-  config.precompute_timing_grid = true;
   const Receiver grid_receiver(config);
-  config.precompute_timing_grid = false;
-  const Receiver percall_receiver(config);
+  const oracles::PerCallTimingReceiver percall_receiver(config);
 
   // Clean, offset, and offset+noise captures: the winning tau (and every
   // derived field) must agree bitwise in all of them.
@@ -78,22 +78,6 @@ TEST(TimingGridEquivalenceTest, GridCoversTheFullTauSequence) {
     EXPECT_NEAR(result.timing_offset_estimate, offset, 0.0626)
         << "offset " << offset;
   }
-}
-
-TEST(TimingGridEquivalenceTest, ConfigDisablesTheGrid) {
-  // precompute_timing_grid = false must actually pin the reference path —
-  // the equivalence tests above rely on it.
-  ReceiverConfig config;
-  config.timing_recovery = true;
-  config.precompute_timing_grid = false;
-  const Receiver receiver(config);
-  // Indirect observable: receiving still works (the per-call path derives
-  // references on the fly) and produces the documented offset estimate.
-  Transmitter tx;
-  const cvec wave = tx.transmit_frame(make_text_frame(0, 0));
-  const cvec delayed = channel::apply_timing_offset(wave, 0.25);
-  const ReceiveResult result = receiver.receive(delayed);
-  EXPECT_NEAR(result.timing_offset_estimate, 0.25, 0.0626);
 }
 
 }  // namespace

@@ -83,13 +83,13 @@ class LintFixtureTest(unittest.TestCase):
         self.assert_rules("std::mt19937 per_sensor(sensor_id);\n", ["rng"],
                           rel="src/mesh/sensor_field.cpp")
 
-    def test_rng_waiver_suppresses(self):
+    def test_rng_retired_det_lint_spelling_is_reported(self):
+        # The old `det-lint:` alias is gone (docs/STATIC_ANALYSIS.md): a
+        # line carrying it is reported like an unwaived one.
         self.assert_rules(
-            "std::mt19937 legacy;  // det-lint: allow(rng)\n", [])
+            "std::mt19937 legacy;  // det-lint: allow(rng)\n", ["rng"])
 
-    def test_rng_unified_ctc_lint_waiver_suppresses(self):
-        # The unified spelling works everywhere; det-lint above is the
-        # deprecated alias (docs/STATIC_ANALYSIS.md migration note).
+    def test_rng_waiver_suppresses(self):
         self.assert_rules(
             "std::mt19937 legacy;  // ctc-lint: allow(rng)\n", [])
 
@@ -201,7 +201,10 @@ class LintFixtureTest(unittest.TestCase):
 
     def test_intrinsics_waiver_suppresses(self):
         self.assert_rules(
-            "#include <immintrin.h>  // det-lint: allow(intrinsics)\n", [])
+            "#include <immintrin.h>  // ctc-lint: allow(intrinsics)\n", [])
+        self.assert_rules(
+            "#include <immintrin.h>  // det-lint: allow(intrinsics)\n",
+            ["intrinsics"])
 
     # -- telem-mix ----------------------------------------------------------
 
