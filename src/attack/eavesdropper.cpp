@@ -7,6 +7,15 @@
 
 namespace ctc::attack {
 
+namespace {
+
+/// Noise-only samples recorded before the frame arrives (at 20 MHz).
+constexpr std::size_t kLeadInSamples = 900;
+/// How far into the capture to search for the frame start (at 4 MHz).
+constexpr std::size_t kMaxSyncOffset = 2000;
+
+}  // namespace
+
 Eavesdropper::Eavesdropper(EavesdropConfig config) : config_(config) {}
 
 EavesdropResult Eavesdropper::listen(std::span<const cplx> zigbee_waveform,
@@ -18,7 +27,7 @@ EavesdropResult Eavesdropper::listen(std::span<const cplx> zigbee_waveform,
   const cvec at_20mhz = dsp::upsample(zigbee_waveform, 5);
   const cvec shifted = dsp::frequency_shift(at_20mhz, config_.plan.offset_hz(),
                                             config_.plan.wifi_sample_rate_hz);
-  cvec capture(config_.lead_in_samples, cplx{0.0, 0.0});
+  cvec capture(kLeadInSamples, cplx{0.0, 0.0});
   capture.insert(capture.end(), shifted.begin(), shifted.end());
   capture = channel::add_awgn(capture, config_.snr_db, rng);
 
@@ -27,8 +36,7 @@ EavesdropResult Eavesdropper::listen(std::span<const cplx> zigbee_waveform,
 
   // Frame sync against the 802.15.4 SHR.
   const zigbee::Receiver reference;
-  const auto offset =
-      reference.synchronize(result.capture_4mhz, config_.max_sync_offset);
+  const auto offset = reference.synchronize(result.capture_4mhz, kMaxSyncOffset);
   if (!offset) return result;
   result.synchronized = true;
   result.frame_offset = *offset;

@@ -23,10 +23,6 @@ struct EavesdropConfig {
   /// SNR of the overheard ZigBee signal at the attacker (it sits close to
   /// the link, so this is typically high).
   double snr_db = 35.0;
-  /// Noise-only samples recorded before the frame arrives (at 20 MHz).
-  std::size_t lead_in_samples = 900;
-  /// How far into the capture to search for the frame start (at 4 MHz).
-  std::size_t max_sync_offset = 2000;
 };
 
 struct EavesdropResult {

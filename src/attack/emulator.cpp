@@ -108,8 +108,9 @@ EmulationResult WaveformEmulator::emulate(std::span<const cplx> observed_4mhz) c
   }
 
   // Per-symbol emulation. The DSSS chip alphabet repeats, so identical slots
-  // recur throughout the frame; memoize on the exact slot samples (alpha and
-  // kept_bins are fixed per frame, so the slot fully determines the output).
+  // recur throughout the frame; cache results keyed on the exact slot
+  // samples (alpha and kept_bins are fixed per frame, so the slot fully
+  // determines the output).
   struct SlotResult {
     cvec symbol;
     SymbolDiagnostics diagnostics;
@@ -119,36 +120,24 @@ EmulationResult WaveformEmulator::emulate(std::span<const cplx> observed_4mhz) c
   result.wifi_waveform_20mhz.reserve(upsampled.size());
   for (std::size_t start = 0; start + kSlot <= upsampled.size(); start += kSlot) {
     const auto slot = std::span<const cplx>(upsampled).subspan(start, kSlot);
-    const SlotResult* cached = nullptr;
-    if (config_.memoize) {
-      std::string key(reinterpret_cast<const char*>(slot.data()),
-                      kSlot * sizeof(cplx));
-      auto it = lut.find(key);
-      if (it != lut.end()) {
-        CTC_TELEM_COUNT("attack", "lut_hits", 1);
-        cached = &it->second;
-      } else {
-        CTC_TELEM_COUNT("attack", "lut_misses", 1);
-        SlotResult fresh;
-        fresh.symbol = emulate_symbol(slot, result.kept_bins, alpha,
-                                      &fresh.diagnostics, &fresh.grid);
-        cached = &lut.emplace(std::move(key), std::move(fresh)).first->second;
-      }
-    }
-    SymbolDiagnostics diagnostics;
-    cvec symbol;
-    cvec grid;
-    if (cached != nullptr) {
-      diagnostics = cached->diagnostics;
-      symbol = cached->symbol;
-      grid = cached->grid;
+    std::string key(reinterpret_cast<const char*>(slot.data()),
+                    kSlot * sizeof(cplx));
+    auto it = lut.find(key);
+    if (it != lut.end()) {
+      CTC_TELEM_COUNT("attack", "lut_hits", 1);
     } else {
-      symbol = emulate_symbol(slot, result.kept_bins, alpha, &diagnostics, &grid);
+      CTC_TELEM_COUNT("attack", "lut_misses", 1);
+      SlotResult fresh;
+      fresh.symbol = emulate_symbol(slot, result.kept_bins, alpha,
+                                    &fresh.diagnostics, &fresh.grid);
+      it = lut.emplace(std::move(key), std::move(fresh)).first;
     }
+    const SlotResult& cached = it->second;
+    const SymbolDiagnostics& diagnostics = cached.diagnostics;
     result.wifi_waveform_20mhz.insert(result.wifi_waveform_20mhz.end(),
-                                      symbol.begin(), symbol.end());
+                                      cached.symbol.begin(), cached.symbol.end());
     result.diagnostics.push_back(diagnostics);
-    result.symbol_grids.push_back(std::move(grid));
+    result.symbol_grids.push_back(cached.grid);
     // The paper's three distortion sources (Sec. V), one metric each: the
     // 0.8 us head each symbol sacrifices to the cyclic prefix, the OFDM
     // bins zeroed by subcarrier truncation, and the energy the 64-QAM grid

@@ -35,10 +35,6 @@ struct EmulatorConfig {
   /// Fixed QAM scale; nullopt = optimize per frame (Eq. 4). The paper's
   /// simulation uses sqrt(26).
   std::optional<double> alpha;
-  /// Reuse per-slot emulation results within a frame. A ZigBee frame cycles
-  /// through only 16 chip sequences, so most 80-sample slots repeat; keying
-  /// on the exact slot samples keeps the output bitwise identical.
-  bool memoize = true;
 };
 
 struct SymbolDiagnostics {

@@ -9,6 +9,12 @@ namespace ctc::attack {
 
 namespace {
 
+// Eq. 4 scale search: lower end of the alpha range, coarse grid size and
+// golden-section rounds.
+constexpr double kMinAlpha = 0.05;
+constexpr std::size_t kCoarseSteps = 400;
+constexpr std::size_t kRefineRounds = 30;
+
 // Nearest odd level in {-7..7} to value/alpha.
 int nearest_level(double value, double alpha) {
   const double scaled = value / alpha;
@@ -44,26 +50,21 @@ double quantization_cost(std::span<const cplx> points, double alpha) {
   return cost;
 }
 
-double optimize_scale(std::span<const cplx> points, ScaleSearchConfig config) {
+double optimize_scale(std::span<const cplx> points) {
   CTC_REQUIRE(!points.empty());
-  CTC_REQUIRE(config.coarse_steps >= 2);
-  double max_alpha = config.max_alpha;
-  if (max_alpha <= 0.0) {
-    double peak = 0.0;
-    for (const cplx& point : points) {
-      peak = std::max({peak, std::abs(point.real()), std::abs(point.imag())});
-    }
-    max_alpha = std::max(peak, config.min_alpha + 1e-6);
+  double peak = 0.0;
+  for (const cplx& point : points) {
+    peak = std::max({peak, std::abs(point.real()), std::abs(point.imag())});
   }
+  const double max_alpha = std::max(peak, kMinAlpha + 1e-6);
 
   // Coarse grid.
-  double best_alpha = config.min_alpha;
+  double best_alpha = kMinAlpha;
   double best_cost = quantization_cost(points, best_alpha);
-  for (std::size_t i = 1; i < config.coarse_steps; ++i) {
+  for (std::size_t i = 1; i < kCoarseSteps; ++i) {
     const double alpha =
-        config.min_alpha + (max_alpha - config.min_alpha) *
-                               static_cast<double>(i) /
-                               static_cast<double>(config.coarse_steps - 1);
+        kMinAlpha + (max_alpha - kMinAlpha) * static_cast<double>(i) /
+                        static_cast<double>(kCoarseSteps - 1);
     const double cost = quantization_cost(points, alpha);
     if (cost < best_cost) {
       best_cost = cost;
@@ -72,16 +73,16 @@ double optimize_scale(std::span<const cplx> points, ScaleSearchConfig config) {
   }
 
   // Golden-section refinement around the best cell.
-  const double cell = (max_alpha - config.min_alpha) /
-                      static_cast<double>(config.coarse_steps - 1);
-  double lo = std::max(config.min_alpha, best_alpha - cell);
+  const double cell = (max_alpha - kMinAlpha) /
+                      static_cast<double>(kCoarseSteps - 1);
+  double lo = std::max(kMinAlpha, best_alpha - cell);
   double hi = std::min(max_alpha, best_alpha + cell);
   constexpr double kInvPhi = 0.6180339887498949;
   double x1 = hi - kInvPhi * (hi - lo);
   double x2 = lo + kInvPhi * (hi - lo);
   double f1 = quantization_cost(points, x1);
   double f2 = quantization_cost(points, x2);
-  for (std::size_t round = 0; round < config.refine_rounds; ++round) {
+  for (std::size_t round = 0; round < kRefineRounds; ++round) {
     if (f1 < f2) {
       hi = x2;
       x2 = x1;

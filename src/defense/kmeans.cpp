@@ -9,6 +9,11 @@ namespace ctc::defense {
 
 namespace {
 
+/// Lloyd iteration budget.
+constexpr std::size_t kMaxIterations = 100;
+/// Stop when the objective improves by less than this.
+constexpr double kTolerance = 1e-9;
+
 cvec kmeanspp_seed(std::span<const cplx> points, std::size_t k, dsp::Rng& rng) {
   cvec centroids;
   centroids.reserve(k);
@@ -54,7 +59,7 @@ KmeansResult kmeans(std::span<const cplx> points, dsp::Rng& rng,
   result.assignment.assign(points.size(), 0);
 
   double previous_objective = std::numeric_limits<double>::infinity();
-  for (std::size_t iteration = 0; iteration < config.max_iterations; ++iteration) {
+  for (std::size_t iteration = 0; iteration < kMaxIterations; ++iteration) {
     // Assignment step.
     double objective = 0.0;
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -85,7 +90,7 @@ KmeansResult kmeans(std::span<const cplx> points, dsp::Rng& rng,
         result.centroids[c] = sums[c] / static_cast<double>(counts[c]);
       }
     }
-    if (previous_objective - objective < config.tolerance) break;
+    if (previous_objective - objective < kTolerance) break;
     previous_objective = objective;
   }
   return result;

@@ -22,8 +22,6 @@ struct KmeansResult {
 
 struct KmeansConfig {
   std::size_t k = 4;
-  std::size_t max_iterations = 100;
-  double tolerance = 1e-9;  ///< stop when the objective improves less
 };
 
 /// Lloyd's algorithm with k-means++ seeding. Requires points.size() >= k.

@@ -5,6 +5,7 @@
 #include "dsp/fft.h"
 #include "dsp/kernels/kernels.h"
 #include "dsp/require.h"
+#include "dsp/window.h"
 
 namespace ctc::dsp {
 
@@ -18,7 +19,7 @@ PsdResult welch_psd(std::span<const cplx> signal, PsdConfig config) {
   const std::size_t n = config.segment_size;
   const std::size_t hop = std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(n) * (1.0 - config.overlap)));
-  const rvec window = make_window(config.window, n);
+  const rvec window = make_window(WindowKind::hann, n);
   double window_power = 0.0;
   for (double w : window) window_power += w * w;
 

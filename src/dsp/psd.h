@@ -10,14 +10,12 @@
 #include <span>
 
 #include "dsp/types.h"
-#include "dsp/window.h"
 
 namespace ctc::dsp {
 
 struct PsdConfig {
   std::size_t segment_size = 256;   ///< power of two
   double overlap = 0.5;             ///< fraction of segment_size, in [0, 1)
-  WindowKind window = WindowKind::hann;
   double sample_rate_hz = 1.0;      ///< scales the frequency axis only
 };
 
@@ -27,7 +25,7 @@ struct PsdResult {
   std::size_t segments_used = 0;
 };
 
-/// Welch PSD of a complex baseband signal. Requires
+/// Welch PSD (Hann-windowed segments) of a complex baseband signal. Requires
 /// signal.size() >= segment_size. Total power is normalized so that
 /// sum(power) ~= mean |x|^2 (window-compensated).
 PsdResult welch_psd(std::span<const cplx> signal, PsdConfig config = {});

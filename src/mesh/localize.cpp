@@ -10,6 +10,14 @@ namespace ctc::mesh {
 
 namespace {
 
+/// Gauss-Newton iteration budget.
+constexpr std::size_t kMaxIterations = 25;
+/// Stop once the Gauss-Newton step norm falls below this (m).
+constexpr double kToleranceM = 1e-9;
+/// Ranges and sensor-to-estimate distances are clamped to this floor so a
+/// sensor sitting on top of the estimate cannot divide by zero.
+constexpr double kMinDistanceM = 1e-3;
+
 /// RSSI-weighted centroid: weights are linear received power, so the
 /// loudest sensors — the ones nearest the emitter — dominate the seed.
 Vec2 weighted_centroid(std::span<const RssiSample> samples) {
@@ -34,19 +42,18 @@ LocalizationResult localize_rssi(std::span<const RssiSample> samples,
                                  const LocalizeConfig& config) {
   CTC_REQUIRE_MSG(samples.size() >= 3,
                   "RSSI localization needs at least 3 sensors");
-  CTC_REQUIRE(config.max_iterations >= 1);
 
   std::vector<double> ranges;
   ranges.reserve(samples.size());
   for (const RssiSample& sample : samples) {
     ranges.push_back(std::max(
         config.path_loss.distance_for_rssi(sample.rssi_dbm),
-        config.min_distance_m));
+        kMinDistanceM));
   }
 
   LocalizationResult result;
   result.position = weighted_centroid(samples);
-  for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     // Normal equations of the linearized problem: J^T J dp = -J^T r with
     // J_i = (p - s_i) / ||p - s_i||. A tiny Levenberg diagonal keeps the
     // 2x2 solve well-posed when the field is nearly collinear.
@@ -55,7 +62,7 @@ LocalizationResult localize_rssi(std::span<const RssiSample> samples,
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const double dx = result.position.x - samples[i].position.x;
       const double dy = result.position.y - samples[i].position.y;
-      const double dist = std::max(std::hypot(dx, dy), config.min_distance_m);
+      const double dist = std::max(std::hypot(dx, dy), kMinDistanceM);
       const double jx = dx / dist;
       const double jy = dy / dist;
       const double residual = dist - ranges[i];
@@ -75,7 +82,7 @@ LocalizationResult localize_rssi(std::span<const RssiSample> samples,
     result.position.x += step_x;
     result.position.y += step_y;
     ++result.iterations;
-    if (std::hypot(step_x, step_y) < config.tolerance_m) {
+    if (std::hypot(step_x, step_y) < kToleranceM) {
       result.converged = true;
       break;
     }
@@ -84,7 +91,7 @@ LocalizationResult localize_rssi(std::span<const RssiSample> samples,
   double residual_sq_sum = 0.0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const double dist = std::max(
-        distance(result.position, samples[i].position), config.min_distance_m);
+        distance(result.position, samples[i].position), kMinDistanceM);
     const double residual = dist - ranges[i];
     residual_sq_sum += residual * residual;
   }

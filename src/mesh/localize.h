@@ -29,12 +29,6 @@ struct LocalizeConfig {
   /// forward model that produced the measurements (SensorField shares one
   /// PathLossModel between propagation and localization).
   channel::PathLossModel path_loss;
-  std::size_t max_iterations = 25;
-  /// Stop once the Gauss-Newton step norm falls below this (m).
-  double tolerance_m = 1e-9;
-  /// Ranges and sensor-to-estimate distances are clamped to this floor so
-  /// a sensor sitting on top of the estimate cannot divide by zero.
-  double min_distance_m = 1e-3;
 };
 
 struct LocalizationResult {

@@ -13,6 +13,21 @@
 
 namespace ctc::sentry {
 
+namespace {
+
+/// Candidate frame-start offsets searched per scan round. Larger rounds
+/// amortize bookkeeping; smaller rounds shrink buffered lookahead.
+constexpr std::size_t kScanSpan = 2048;
+/// Windows whose energy falls below this are skipped without running the
+/// correlation — an exact-zero gap (idle air in generated streams) costs
+/// one prefix-sum subtraction per offset instead of a 640-sample dot.
+constexpr double kEnergyGate = 1e-12;
+/// Minimum constellation points for a valid verdict (forwarded to
+/// defense::StreamingDetector::verdict).
+constexpr std::size_t kMinPoints = 4;
+
+}  // namespace
+
 StreamScanner::StreamScanner(ScannerConfig config, std::size_t channel,
                              VerdictFn on_verdict)
     : config_(std::move(config)),
@@ -20,7 +35,6 @@ StreamScanner::StreamScanner(ScannerConfig config, std::size_t channel,
       on_verdict_(std::move(on_verdict)),
       receiver_(config_.receiver),
       detector_(config_.detector) {
-  CTC_REQUIRE(config_.scan_span > 0);
   CTC_REQUIRE(config_.max_psdu_bytes >= 1);
   CTC_REQUIRE(config_.max_psdu_bytes <= zigbee::kMaxPsduBytes);
   const zigbee::Transmitter tx(
@@ -111,17 +125,17 @@ void StreamScanner::advance(bool flushing) {
 }
 
 bool StreamScanner::scan_round(bool flushing) {
-  // A full round needs every offset in [0, scan_span) to see a complete
+  // A full round needs every offset in [0, kScanSpan) to see a complete
   // correlation window, plus the hill-climb guard. The requirement is a
   // fixed sample count, which is what makes the scanner's decisions
   // independent of how the stream was chopped into push() blocks.
-  const std::size_t full_need = config_.scan_span + window_ - 1 + guard_;
+  const std::size_t full_need = kScanSpan + window_ - 1 + guard_;
   if (!flushing && avail() < full_need) return false;
   if (avail() == 0) return false;
 
   std::size_t limit = 0;
   if (avail() >= window_) {
-    limit = std::min(config_.scan_span, avail() - window_ + 1);
+    limit = std::min(kScanSpan, avail() - window_ + 1);
   }
   if (limit == 0) {
     // Flushing with a sub-window tail: nothing left can synchronize.
@@ -200,12 +214,12 @@ bool StreamScanner::scan_round(bool flushing) {
   double best_metric = 0.0;
   for (std::size_t offset = 0; offset < limit; ++offset) {
     const double we = window_energy(offset);
-    if (we <= config_.energy_gate) continue;
-    if (screened && bound_metric(offset, we) < config_.sync_threshold) {
+    if (we <= kEnergyGate) continue;
+    if (screened && bound_metric(offset, we) < zigbee::kShrSyncThreshold) {
       continue;  // provably below threshold: skipping cannot change `best`
     }
     const double metric = metric_at(offset);
-    if (metric >= config_.sync_threshold && metric > best_metric) {
+    if (metric >= zigbee::kShrSyncThreshold && metric > best_metric) {
       best = offset;
       best_metric = metric;
     }
@@ -223,7 +237,7 @@ bool StreamScanner::scan_round(bool flushing) {
   std::size_t horizon = std::min(best + guard_, search_end);
   for (std::size_t offset = best + 1; offset <= horizon; ++offset) {
     const double we = window_energy(offset);
-    if (we <= config_.energy_gate) continue;
+    if (we <= kEnergyGate) continue;
     if (screened && bound_metric(offset, we) <= best_metric) {
       continue;  // bound can't beat the incumbent, so neither can the metric
     }
@@ -261,14 +275,12 @@ void StreamScanner::decode_at(std::size_t offset) {
     consumed = std::min(
         ppdu_samples(rx.psdu.size(), config_.receiver.samples_per_chip), take);
 
-    const rvec& chips =
-        config_.tap == ScanTap::discriminator ? rx.freq_chips : rx.soft_chips;
     std::optional<defense::Verdict> verdict;
     {
       CTC_TELEM_TIMER("sentry", "classify_ns");
       detector_.begin_frame();
-      detector_.push_chips(chips);
-      verdict = detector_.verdict(config_.min_points);
+      detector_.push_chips(rx.freq_chips);
+      verdict = detector_.verdict(kMinPoints);
     }
 
     VerdictRecord record;

@@ -6,11 +6,11 @@
 // unknown positions, gaps, noise, and possibly truncated tails. The
 // StreamScanner closes that gap: it buffers pushed sample blocks, searches
 // fixed-size scan rounds for an SHR correlation peak (normalized metric,
-// same 0.25 threshold as zigbee::Receiver::synchronize, with a sliding
-// prefix-sum energy term so the search is O(window) per offset instead of
-// O(window^2)), decodes each detected frame with the full receiver, feeds
-// the discriminator chips to a defense::StreamingDetector, and emits one
-// VerdictRecord per decoded frame through a callback.
+// accepted at zigbee::kShrSyncThreshold like zigbee::Receiver::synchronize,
+// with a sliding prefix-sum energy term so the search is O(window) per
+// offset instead of O(window^2)), decodes each detected frame with the full
+// receiver, feeds the discriminator chips to a defense::StreamingDetector,
+// and emits one VerdictRecord per decoded frame through a callback.
 //
 // Determinism contract (the service's replay gate rests on it): the
 // scanner's decisions depend only on the sample values and their absolute
@@ -38,32 +38,13 @@
 
 namespace ctc::sentry {
 
-/// Which receiver tap feeds the streaming detector.
-enum class ScanTap {
-  discriminator,  ///< FM-discriminator frequency chips (the paper's tap)
-  coherent,       ///< matched-filter soft chips
-};
-
 struct ScannerConfig {
   zigbee::ReceiverConfig receiver;
   defense::DetectorConfig detector;
-  ScanTap tap = ScanTap::discriminator;
-  /// Candidate frame-start offsets searched per scan round. Larger rounds
-  /// amortize bookkeeping; smaller rounds shrink buffered lookahead.
-  std::size_t scan_span = 2048;
   /// Largest PSDU the scanner waits for before decoding a detected frame —
   /// the bounded-latency knob. Streams with larger frames decode truncated
   /// (phr fails, frame skipped); 127 accepts anything 802.15.4 allows.
   std::size_t max_psdu_bytes = zigbee::kMaxPsduBytes;
-  /// Normalized SHR correlation acceptance threshold in [0, 1].
-  double sync_threshold = 0.25;
-  /// Windows whose energy falls below this are skipped without running the
-  /// correlation — an exact-zero gap (idle air in generated streams) costs
-  /// one prefix-sum subtraction per offset instead of a 640-sample dot.
-  double energy_gate = 1e-12;
-  /// Minimum constellation points for a valid verdict (forwarded to
-  /// defense::StreamingDetector::verdict).
-  std::size_t min_points = 4;
 };
 
 /// Monotonic per-channel progress counters (plain integers: the scanner is

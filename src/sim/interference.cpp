@@ -5,6 +5,13 @@
 
 namespace ctc::sim {
 
+namespace {
+
+/// Interferer burst length at 4 MHz (100 us).
+constexpr std::size_t kBurstSamples = 400;
+
+}  // namespace
+
 cvec add_wifi_interference(std::span<const cplx> signal,
                            const WifiInterferenceConfig& config, dsp::Rng& rng) {
   // Generate one long-enough WiFi frame of random payload at 20 MHz and
@@ -36,7 +43,7 @@ cvec add_wifi_interference(std::span<const cplx> signal,
   std::size_t index = 0;
   while (index < out.size()) {
     const bool active = rng.uniform() < config.duty_cycle;
-    const std::size_t end = std::min(out.size(), index + config.burst_samples);
+    const std::size_t end = std::min(out.size(), index + kBurstSamples);
     if (active) {
       for (std::size_t i = index; i < end; ++i) out[i] += scale * in_channel[i];
     }

@@ -20,9 +20,8 @@ namespace ctc::sim {
 struct WifiInterferenceConfig {
   attack::CarrierPlan plan;  ///< frequency layout (ZigBee ch 17 / WiFi 2440)
   double sir_db = 10.0;      ///< signal-to-interference ratio in-channel
-  /// Fraction of time the interferer transmits (bursts of `burst_samples`).
+  /// Fraction of time the interferer transmits (100 us bursts).
   double duty_cycle = 0.5;
-  std::size_t burst_samples = 400;  ///< at 4 MHz (100 us bursts)
 };
 
 /// Adds the in-channel footprint of random WiFi traffic to a unit-power

@@ -113,16 +113,16 @@ WifiReceiveResult WifiReceiver::receive(std::span<const cplx> waveform,
   tx_like.mcs = config_.mcs;
   const std::size_t num_symbols =
       WifiTransmitter(tx_like).num_data_symbols(psdu_bytes);
-  const std::size_t preamble = config_.expect_preamble ? kPreambleSamples : 0;
   const std::size_t signal = config_.expect_signal_field ? kSymbolLength : 0;
-  const std::size_t needed = preamble + signal + num_symbols * kSymbolLength;
+  const std::size_t needed =
+      kPreambleSamples + signal + num_symbols * kSymbolLength;
   if (waveform.size() < needed) return result;
 
-  cvec channel(kNumSubcarriers, cplx{1.0, 0.0});
-  if (config_.expect_preamble) channel = estimate_channel(waveform, 160);
+  const cvec channel = estimate_channel(waveform, 160);
 
-  result.psdu = decode_data(waveform, preamble + signal, channel, config_.mcs,
-                            psdu_bytes, config_.expect_signal_field ? 1 : 0);
+  result.psdu = decode_data(waveform, kPreambleSamples + signal, channel,
+                            config_.mcs, psdu_bytes,
+                            config_.expect_signal_field ? 1 : 0);
   if (result.psdu.size() != psdu_bytes) return result;
   result.symbol_count = num_symbols;
   result.ok = true;

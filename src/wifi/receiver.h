@@ -22,7 +22,6 @@ namespace ctc::wifi {
 struct WifiRxConfig {
   Mcs mcs = Mcs::mbps54;
   std::uint8_t scrambler_seed = 0x5D;
-  bool expect_preamble = true;
   /// The frame carries a SIGNAL header symbol (pilot polarity shifts by 1).
   bool expect_signal_field = false;
 };
@@ -45,8 +44,7 @@ class WifiReceiver {
   explicit WifiReceiver(WifiRxConfig config = {});
 
   /// Decodes `psdu_bytes` of payload from a synchronized waveform
-  /// (sample 0 = first STF sample when expect_preamble, else first data
-  /// symbol sample).
+  /// (sample 0 = first STF sample).
   WifiReceiveResult receive(std::span<const cplx> waveform,
                             std::size_t psdu_bytes) const;
 

@@ -42,9 +42,13 @@ std::optional<SyncResult> synchronize_wifi(std::span<const cplx> capture,
   constexpr std::size_t kStfDelay = 16;
   constexpr std::size_t kWindow = 64;
   constexpr std::size_t kLtfSymbol = 64;
+  // Detection threshold on the normalized delay-16 autocorrelation, and
+  // how many samples to search.
+  constexpr double kDetectionThreshold = 0.8;
+  constexpr std::size_t kMaxSearch = 1u << 16;
   if (capture.size() < 400) return std::nullopt;
   const std::size_t search_end =
-      std::min(config.max_search, capture.size() - kWindow - kStfDelay);
+      std::min(kMaxSearch, capture.size() - kWindow - kStfDelay);
 
   // 1. Packet detection: first run of above-threshold delay-16 metric.
   bool detected = false;
@@ -53,7 +57,7 @@ std::optional<SyncResult> synchronize_wifi(std::span<const cplx> capture,
   std::size_t run = 0;
   for (std::size_t d = 0; d < search_end; ++d) {
     const Plateau plateau = stf_metric(capture, d);
-    if (plateau.metric > config.detection_threshold) {
+    if (plateau.metric > kDetectionThreshold) {
       if (run == 0) {
         coarse_start = d;
         at_coarse = plateau;

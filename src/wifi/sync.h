@@ -25,10 +25,6 @@ struct SyncResult {
 
 struct SyncConfig {
   double sample_rate_hz = 20.0e6;
-  /// Detection threshold on the normalized delay-16 autocorrelation.
-  double detection_threshold = 0.8;
-  /// How many samples to search.
-  std::size_t max_search = 1u << 16;
 };
 
 /// Finds a WiFi frame in a capture. Returns nullopt when no STF plateau

@@ -116,13 +116,9 @@ cvec WifiTransmitter::modulate_grids(std::span<const cvec> grids) const {
 
 cvec WifiTransmitter::assemble_frame(std::span<const cplx> signal_symbol,
                                      std::span<const cvec> grids) const {
-  cvec waveform;
-  if (config_.include_preamble) {
-    const cvec stf = make_stf();
-    const cvec ltf = make_ltf();
-    waveform.insert(waveform.end(), stf.begin(), stf.end());
-    waveform.insert(waveform.end(), ltf.begin(), ltf.end());
-  }
+  cvec waveform = make_stf();
+  const cvec ltf = make_ltf();
+  waveform.insert(waveform.end(), ltf.begin(), ltf.end());
   waveform.insert(waveform.end(), signal_symbol.begin(), signal_symbol.end());
   for (const cvec& grid : grids) {
     const cvec symbol = grid_to_time(grid);

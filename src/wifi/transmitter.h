@@ -30,7 +30,6 @@ std::size_t coded_bits_per_symbol(Mcs mcs);
 struct WifiTxConfig {
   Mcs mcs = Mcs::mbps54;  ///< 64-QAM rate 3/4, the mode the attack rides on
   std::uint8_t scrambler_seed = 0x5D;
-  bool include_preamble = true;
   /// Emit the SIGNAL header symbol announcing rate and length. Data-symbol
   /// pilot polarity then starts at index 1 (SIGNAL is index 0).
   bool include_signal_field = false;

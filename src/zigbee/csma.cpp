@@ -22,10 +22,10 @@ CsmaResult csma_ca(const std::function<bool(double)>& busy_at, dsp::Rng& rng,
   CsmaResult result;
   unsigned backoff_exponent = config.mac_min_be;
   double now_us = 0.0;
-  for (unsigned attempt = 0; attempt <= config.max_csma_backoffs; ++attempt) {
+  for (unsigned attempt = 0; attempt <= kMaxCsmaBackoffs; ++attempt) {
     const std::uint64_t slots =
         rng.uniform_index((std::uint64_t{1} << backoff_exponent));
-    now_us += static_cast<double>(slots) * config.backoff_period_us;
+    now_us += static_cast<double>(slots) * kBackoffPeriodUs;
     ++result.backoffs;
     if (!busy_at(now_us)) {
       result.success = true;

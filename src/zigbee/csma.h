@@ -24,11 +24,14 @@ double energy_detect(std::span<const cplx> window);
 /// callers express it as linear power at baseband.
 bool channel_busy(std::span<const cplx> window, double threshold_power);
 
+/// macMaxCSMABackoffs: backoffs after the first before giving up.
+constexpr unsigned kMaxCsmaBackoffs = 4;
+/// aUnitBackoffPeriod: 20 symbols at 62.5 ksym/s.
+constexpr double kBackoffPeriodUs = 320.0;
+
 struct CsmaConfig {
   unsigned mac_min_be = 3;        ///< initial backoff exponent
   unsigned mac_max_be = 5;
-  unsigned max_csma_backoffs = 4; ///< attempts before giving up
-  double backoff_period_us = 320.0;  ///< 20 symbols at 62.5 ksym/s
 };
 
 struct CsmaResult {

@@ -17,6 +17,16 @@
 
 namespace ctc::zigbee {
 
+/// Acceptance threshold of the normalized SHR correlation in [0, 1]. A true
+/// SHR correlates strongly; noise-only peaks stay far below 0.5. Shared by
+/// Receiver::synchronize and the sentry's streaming frame sync.
+constexpr double kShrSyncThreshold = 0.25;
+
+/// Clock-recovery search grid: half-range and step, in fractions of a
+/// sample.
+constexpr double kTimingSearchRange = 0.5;
+constexpr double kTimingSearchStep = 0.0625;
+
 /// Chip demodulation strategy.
 enum class DemodKind {
   /// Noncoherent FM discriminator + differential despreading — the GNU
@@ -84,18 +94,12 @@ struct ReceiveResult {
 struct ReceiverConfig {
   std::size_t samples_per_chip = 2;
   ReceiverProfile profile;
-  /// When false the soft chips are taken without phase equalization
-  /// (diagnostics of raw front-end output).
-  bool equalize = true;
   /// Data-aided clock recovery (the "Clock Recovery" block of the paper's
   /// Fig. 1): estimate the fractional-sample timing offset against the SHR
   /// reference on a sub-sample grid and correct it before demodulation.
   /// Off by default to keep the calibrated experiment profiles unchanged;
   /// the ablation tests show the low-SNR gain under timing offsets.
   bool timing_recovery = false;
-  /// Timing search half-range (fractions of a sample) and grid step.
-  double timing_search_range = 0.5;
-  double timing_search_step = 0.0625;
 };
 
 class Receiver {

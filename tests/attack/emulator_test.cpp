@@ -6,6 +6,7 @@
 
 #include "dsp/require.h"
 #include "dsp/stats.h"
+#include "oracles/oracles.h"
 #include "sim/telemetry.h"
 #include "zigbee/app.h"
 #include "zigbee/receiver.h"
@@ -158,14 +159,10 @@ TEST(EmulatorTest, FewerBinsMeansMoreDiscardedEnergy) {
 }
 
 TEST(EmulatorTest, MemoizedOutputIsBitwiseIdenticalToUncached) {
-  EmulatorConfig cached_config;
-  cached_config.memoize = true;
-  EmulatorConfig uncached_config;
-  uncached_config.memoize = false;
+  const EmulatorConfig config;
   const cvec observed = observed_waveform();
-  const EmulationResult cached = WaveformEmulator(cached_config).emulate(observed);
-  const EmulationResult uncached =
-      WaveformEmulator(uncached_config).emulate(observed);
+  const EmulationResult cached = WaveformEmulator(config).emulate(observed);
+  const EmulationResult uncached = oracles::emulate_uncached(config, observed);
   EXPECT_EQ(cached.wifi_waveform_20mhz, uncached.wifi_waveform_20mhz);
   EXPECT_EQ(cached.emulated_4mhz, uncached.emulated_4mhz);
   EXPECT_EQ(cached.symbol_grids, uncached.symbol_grids);

@@ -4,6 +4,7 @@
 
 #include "attack/carrier_allocation.h"
 #include "attack/emulator.h"
+#include "dsp/fft.h"
 #include "dsp/kernels/kernels.h"
 #include "dsp/require.h"
 #include "dsp/resample.h"
@@ -97,9 +98,9 @@ zigbee::ReceiveResult PerCallTimingReceiver::receive(
   const dsp::kernels::KernelTable& kt = dsp::kernels::active();
   double best_metric = -1.0;
   double best_offset = 0.0;
-  for (double tau = -config_.timing_search_range;
-       tau <= config_.timing_search_range + 1e-12;
-       tau += config_.timing_search_step) {
+  for (double tau = -zigbee::kTimingSearchRange;
+       tau <= zigbee::kTimingSearchRange + 1e-12;
+       tau += zigbee::kTimingSearchStep) {
     const cvec shifted =
         dsp::fractional_delay(std::span<const cplx>(shr_reference_), tau);
     const double energy = kt.energy(shifted.data(), window);
@@ -114,6 +115,53 @@ zigbee::ReceiveResult PerCallTimingReceiver::receive(
   zigbee::ReceiveResult result =
       plain_.receive(dsp::fractional_delay(waveform, -best_offset));
   result.timing_offset_estimate = best_offset;
+  return result;
+}
+
+attack::EmulationResult emulate_uncached(const attack::EmulatorConfig& config,
+                                         std::span<const cplx> observed_4mhz) {
+  constexpr std::size_t kSlot = wifi::kSymbolLength;
+  constexpr std::size_t kFft = wifi::kNumSubcarriers;
+  constexpr std::size_t kCp = wifi::kCyclicPrefixLength;
+  attack::EmulationResult result;
+  cvec upsampled = dsp::upsample(observed_4mhz, config.interpolation);
+  const std::size_t remainder = upsampled.size() % kSlot;
+  if (remainder != 0) {
+    upsampled.resize(upsampled.size() + (kSlot - remainder), cplx{0.0, 0.0});
+  }
+  result.kept_bins = config.kept_bins.empty()
+                         ? attack::SubcarrierSelector(config.selection)
+                               .select_from_waveform(upsampled)
+                               .bins
+                         : config.kept_bins;
+  double alpha;
+  if (config.alpha) {
+    alpha = *config.alpha;
+  } else {
+    const dsp::FftPlan plan(kFft);
+    cvec pooled;
+    for (std::size_t start = 0; start + kSlot <= upsampled.size(); start += kSlot) {
+      const cvec spectrum = plan.forward(
+          std::span<const cplx>(upsampled).subspan(start + kCp, kFft));
+      for (std::size_t bin : result.kept_bins) pooled.push_back(spectrum[bin]);
+    }
+    alpha = attack::optimize_scale(pooled);
+  }
+  const attack::WaveformEmulator emulator(config);
+  for (std::size_t start = 0; start + kSlot <= upsampled.size(); start += kSlot) {
+    attack::SymbolDiagnostics diagnostics;
+    cvec grid;
+    const cvec symbol = emulator.emulate_symbol(
+        std::span<const cplx>(upsampled).subspan(start, kSlot),
+        result.kept_bins, alpha, &diagnostics, &grid);
+    result.wifi_waveform_20mhz.insert(result.wifi_waveform_20mhz.end(),
+                                      symbol.begin(), symbol.end());
+    result.diagnostics.push_back(diagnostics);
+    result.symbol_grids.push_back(std::move(grid));
+  }
+  result.emulated_4mhz =
+      dsp::decimate(result.wifi_waveform_20mhz, config.interpolation);
+  result.emulated_4mhz.resize(observed_4mhz.size(), cplx{0.0, 0.0});
   return result;
 }
 

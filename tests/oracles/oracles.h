@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <span>
 
+#include "attack/emulator.h"
 #include "defense/detector.h"
 #include "dsp/rng.h"
 #include "dsp/types.h"
@@ -53,6 +54,12 @@ class PerCallTimingReceiver {
   cvec shr_reference_;
   zigbee::Receiver plain_;  ///< same config, timing_recovery off
 };
+
+/// Emulation without the per-slot LUT: upsample, pad to whole WiFi slots,
+/// choose bins and alpha, then emulate_symbol() on every slot and decimate.
+/// The oracle for attack::WaveformEmulator::emulate's memoized slots.
+attack::EmulationResult emulate_uncached(const attack::EmulatorConfig& config,
+                                         std::span<const cplx> observed_4mhz);
 
 /// Uncached clean-waveform synthesis: TX -> emulator -> optional RF path ->
 /// normalize_power. The oracle for sim::Link's memoized clean_waveform().

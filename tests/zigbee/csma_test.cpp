@@ -40,10 +40,9 @@ TEST(CsmaTest, IdleChannelGrantsQuickly) {
 
 TEST(CsmaTest, AlwaysBusyChannelFails) {
   dsp::Rng rng(262);
-  CsmaConfig config;
-  const auto result = csma_ca([](double) { return true; }, rng, config);
+  const auto result = csma_ca([](double) { return true; }, rng);
   EXPECT_FALSE(result.success);
-  EXPECT_EQ(result.backoffs, config.max_csma_backoffs + 1);
+  EXPECT_EQ(result.backoffs, kMaxCsmaBackoffs + 1);
 }
 
 TEST(CsmaTest, WaitsOutABusyBurst) {

@@ -42,6 +42,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from lint.framework import Finding  # noqa: E402
+
 DOC_GLOBS = ("README.md", "docs/*.md")
 
 # Heads a documented shell command may start with. Extend with a reason in
@@ -68,17 +72,6 @@ REDIRECT_RE = re.compile(r"^\d*(?:>>?|<<?<?)(?:&\d*)?$")
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^\s*```\s*([A-Za-z0-9_+-]*)\s*$")
 SKIP_MARKER = "<!-- check-docs: skip -->"
-
-
-class Finding:
-    def __init__(self, path: str, line: int, rule: str, message: str):
-        self.path = path
-        self.line = line
-        self.rule = rule
-        self.message = message
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
 def strip_jsonc_comments(text: str) -> str:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""ctc_lint: architecture + contract conformance lint for the ctc tree.
+"""ctc_lint: architecture, contract and determinism lint for the ctc tree.
 
-Two analyzer families, built on the tools/lint/ framework:
+Three analyzer families, built on the tools/lint/ framework:
 
   layering    layer-dep / layer-cycle / layer-unmapped — the
               docs/ARCHITECTURE.md dependency table (machine-readable in
@@ -13,6 +13,13 @@ Two analyzer families, built on the tools/lint/ framework:
               contracts (dsp::kernels dispatch table, emitted *_schema
               JSON, CTC_TELEM_* metric families, Rng::for_stream id
               namespaces) and the docs that promise them.
+
+  determinism rng / clock / unordered-iter / telem-mix / intrinsics — the
+              static reproducibility rules (no randomness outside
+              dsp::Rng, no clock reads near reports, no hash-order
+              iteration in report writers, timer machinery fenced into
+              telemetry, raw SIMD fenced into dsp::kernels), with
+              per-rule file allowlists that --list-rules prints.
 
 Usage:
     tools/ctc_lint.py [--root DIR] [--build-dir DIR] [--report FILE]
@@ -35,7 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from lint import framework, layering, registries  # noqa: E402
+from lint import determinism, framework, layering, registries  # noqa: E402
 
 RULES = {
     "layer-dep": "include crosses layers not declared in layers.json",
@@ -45,13 +52,19 @@ RULES = {
     "schema-docs": "emitted *_schema version or field not documented",
     "telemetry-registry": "CTC_TELEM_* family missing from TELEMETRY.md",
     "stream-ids": "Rng::for_stream site unregistered or namespace collision",
+    "rng": "randomness or wall-clock seed outside dsp::Rng",
+    "clock": "std::chrono clock read outside telemetry and perf benches",
+    "unordered-iter": "unordered-container iteration in a report writer",
+    "telem-mix": "timer machinery outside telemetry, or clock value in a "
+                 "deterministic CTC_TELEM_* macro",
+    "intrinsics": "raw SIMD intrinsics outside src/dsp/kernels/",
 }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ctc_lint.py",
-        description="architecture + contract conformance lint")
+        description="architecture, contract and determinism lint")
     parser.add_argument("--root", default=None,
                         help="repo root (default: parent of tools/)")
     parser.add_argument("--build-dir", default=None,
@@ -68,6 +81,10 @@ def main(argv=None) -> int:
     if args.list_rules:
         for rule, blurb in RULES.items():
             print(f"{rule:20} {blurb}")
+        for rule, allowlist in determinism.ALLOWLISTS.items():
+            print(f"allowlist [{rule}]:")
+            for path, reason in allowlist.items():
+                print(f"  {path}: {reason}")
         return 0
 
     root = (Path(args.root) if args.root
@@ -90,6 +107,7 @@ def main(argv=None) -> int:
     findings = []
     findings += layering.run(tree, root, include_dirs, spec)
     findings += registries.run(tree, root)
+    findings += determinism.run(tree)
 
     if args.files:
         keep = set()

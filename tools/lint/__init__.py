@@ -6,8 +6,9 @@ Modules:
   layering    architecture-layer conformance (layers.json)
   registries  contract-registry cross-checks (kernel table, JSON schemas,
               telemetry metric families, RNG stream-ID namespaces)
+  determinism reproducibility rules (rng, clock, unordered-iter, telem-mix,
+              intrinsics)
 
-Drivers live one directory up: tools/ctc_lint.py (architecture + registry
-analyzers) and tools/lint_determinism.py (reproducibility rules), both built
-on this package. See docs/STATIC_ANALYSIS.md for the rule catalog.
+tools/ctc_lint.py, one directory up, runs every analyzer.
+See docs/STATIC_ANALYSIS.md for the rule catalog.
 """

@@ -389,9 +389,14 @@ class CliTest(unittest.TestCase):
             [sys.executable, str(CTC_LINT), "--list-rules"],
             capture_output=True, text=True)
         self.assertEqual(result.returncode, 0)
-        for rule in ("layer-dep", "kernel-registry", "schema-docs",
-                     "telemetry-registry", "stream-ids"):
-            self.assertIn(rule, result.stdout)
+        listed = [line.split()[0] for line in result.stdout.splitlines()
+                  if line and not line.startswith((" ", "allowlist"))]
+        self.assertEqual(listed, [
+            "layer-dep", "layer-cycle", "layer-unmapped", "kernel-registry",
+            "schema-docs", "telemetry-registry", "stream-ids", "rng",
+            "clock", "unordered-iter", "telem-mix", "intrinsics"])
+        self.assertIn("allowlist [clock]:", result.stdout)
+        self.assertIn("bench/perf_mesh.cpp:", result.stdout)
 
     def test_report_file_and_file_filter(self):
         with tempfile.TemporaryDirectory() as tmp:

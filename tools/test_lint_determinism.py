@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Unit tests for lint_determinism.py: every rule must fire on a seeded
-violation fixture and stay silent on the idiomatic clean counterpart.
+"""Unit tests for the determinism analyzer (tools/lint/determinism.py):
+every rule must fire on a seeded violation fixture and stay silent on the
+idiomatic clean counterpart.
 
 Run directly (python3 tools/test_lint_determinism.py) or via ctest
 (tools.lint_determinism_py)."""
@@ -12,21 +13,17 @@ import unittest
 from pathlib import Path
 
 TOOLS_DIR = Path(__file__).resolve().parent
-LINT = TOOLS_DIR / "lint_determinism.py"
-REPO_ROOT = TOOLS_DIR.parent
+CTC_LINT = TOOLS_DIR / "ctc_lint.py"
 
 sys.path.insert(0, str(TOOLS_DIR))
-import lint_determinism  # noqa: E402
+from lint import determinism, framework  # noqa: E402
 
 
 class LintFixtureTest(unittest.TestCase):
-    """Runs the lint on in-memory fixture files via lint_file()."""
+    """Runs the rules on in-memory fixture files."""
 
     def lint_source(self, source: str, rel: str = "src/foo/bar.cpp"):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / Path(rel).name
-            path.write_text(source)
-            return lint_determinism.lint_file(path, rel)
+        return determinism.lint_source(framework.SourceFile(rel, source))
 
     def assert_rules(self, source: str, expected_rules, rel="src/foo/bar.cpp"):
         violations = self.lint_source(source, rel=rel)
@@ -240,30 +237,19 @@ class LintFixtureTest(unittest.TestCase):
 
 
 class LintCliTest(unittest.TestCase):
-    """End-to-end: the CLI exit codes and the real tree."""
-
-    def run_lint(self, *args):
-        return subprocess.run(
-            [sys.executable, str(LINT), *args],
-            capture_output=True, text=True)
-
-    def test_repo_tree_is_clean(self):
-        result = self.run_lint("--root", str(REPO_ROOT))
-        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+    """End-to-end: ctc_lint.py runs the determinism rules."""
 
     def test_seeded_violation_fails_cli(self):
         with tempfile.TemporaryDirectory() as tmp:
-            bad = Path(tmp) / "bad.cpp"
+            bad = Path(tmp) / "src" / "dsp" / "bad.cpp"
+            bad.parent.mkdir(parents=True)
             bad.write_text("std::mt19937 gen;\n")
-            result = self.run_lint("--root", str(REPO_ROOT), str(bad))
+            result = subprocess.run(
+                [sys.executable, str(CTC_LINT), "--root", tmp, str(bad)],
+                capture_output=True, text=True)
             self.assertEqual(result.returncode, 1,
                              result.stdout + result.stderr)
             self.assertIn("[rng]", result.stdout)
-
-    def test_list_rules(self):
-        result = self.run_lint("--list-rules")
-        self.assertEqual(result.returncode, 0)
-        self.assertIn("allowlist [clock]:", result.stdout)
 
 
 if __name__ == "__main__":
