@@ -35,6 +35,8 @@
 #include <utility>
 #include <vector>
 
+#include "cli_flags.h"
+#include "json/json.h"
 #include "sim/engine.h"
 #include "sim/table.h"
 #include "sim/telemetry.h"
@@ -66,67 +68,24 @@ struct Options {
 
 namespace detail {
 
-inline bool flag_value(int argc, char** argv, int& i, const char* name,
-                       const char** out) {
-  const std::size_t len = std::strlen(name);
-  const char* arg = argv[i];
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0') {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s expects a value\n", name);
-      std::exit(2);
-    }
-    *out = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-inline std::uint64_t parse_u64(const char* text, const char* flag) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "invalid value for %s: %s\n", flag, text);
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
 /// --dry-run: print the fully resolved run configuration (seed, trials,
 /// thread count after CTC_THREADS/hardware resolution, telemetry settings)
 /// as one JSON line and exit 0 without constructing an engine or running
 /// any trials. Lets scripts and CI validate flag plumbing cheaply.
 [[noreturn]] inline void print_dry_run_and_exit(const Options& options,
                                                 const char* bench_name) {
-  auto quoted = [](const std::string& text) {
-    std::string out = "\"";
-    for (char c : text) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += '"';
-    return out;
-  };
-  std::printf("{\"bench\":%s,\"dry_run\":true,\"seed\":%" PRIu64 ",\"trials\":",
-              quoted(bench_name).c_str(), options.seed);
-  if (options.trials) {
-    std::printf("%zu", *options.trials);
-  } else {
-    std::fputs("null", stdout);
-  }
-  std::printf(",\"threads\":%zu,\"json\":%s,\"telemetry\":%s,\"telemetry_out\":",
-              sim::ThreadPool::resolve_threads(options.threads),
-              options.json ? "true" : "false",
-              options.telemetry_enabled() ? "true" : "false");
-  if (options.telemetry_out.empty()) {
-    std::fputs("null}\n", stdout);
-  } else {
-    std::printf("%s}\n", quoted(options.telemetry_out).c_str());
-  }
+  Json config = Json::object();
+  config.set("bench", bench_name);
+  config.set("dry_run", true);
+  config.set("seed", options.seed);
+  config.set("trials", options.trials ? Json(*options.trials) : Json());
+  config.set("threads", sim::ThreadPool::resolve_threads(options.threads));
+  config.set("json", options.json);
+  config.set("telemetry", options.telemetry_enabled());
+  config.set("telemetry_out", options.telemetry_out.empty()
+                                  ? Json()
+                                  : Json(options.telemetry_out));
+  std::printf("%s\n", config.dump().c_str());
   std::exit(0);
 }
 
@@ -142,16 +101,16 @@ inline Options parse_options(int argc, char** argv) {
       options.dry_run = true;
     } else if (std::strcmp(argv[i], "--telemetry") == 0) {
       options.telemetry = true;
-    } else if (detail::flag_value(argc, argv, i, "--telemetry-out", &value)) {
+    } else if (cli::flag_value(argc, argv, i, "--telemetry-out", &value)) {
       options.telemetry_out = value;
-    } else if (detail::flag_value(argc, argv, i, "--seed", &value)) {
-      options.seed = detail::parse_u64(value, "--seed");
-    } else if (detail::flag_value(argc, argv, i, "--threads", &value)) {
+    } else if (cli::flag_value(argc, argv, i, "--seed", &value)) {
+      options.seed = cli::parse_u64(value, "--seed");
+    } else if (cli::flag_value(argc, argv, i, "--threads", &value)) {
       options.threads =
-          static_cast<std::size_t>(detail::parse_u64(value, "--threads"));
-    } else if (detail::flag_value(argc, argv, i, "--trials", &value)) {
+          static_cast<std::size_t>(cli::parse_u64(value, "--threads"));
+    } else if (cli::flag_value(argc, argv, i, "--trials", &value)) {
       options.trials =
-          static_cast<std::size_t>(detail::parse_u64(value, "--trials"));
+          static_cast<std::size_t>(cli::parse_u64(value, "--trials"));
     } else if (std::strcmp(argv[i], "--help") == 0 ||
                std::strcmp(argv[i], "-h") == 0) {
       std::printf(
@@ -199,10 +158,9 @@ inline sim::TrialEngine make_engine(const Options& options,
 
 inline void section(const char* title) { std::printf("\n--- %s ---\n", title); }
 
-/// Insertion-ordered JSON object writer for the --json report. Doubles
-/// print with %.17g (round-trip exact), so two runs that compute identical
-/// results emit byte-identical lines — the property the CI determinism
-/// diff checks.
+/// The --json report: one insertion-ordered JSON object, rendered by the
+/// project's JSON writer, so two runs that compute identical results emit
+/// byte-identical lines — the property the CI determinism diff checks.
 class JsonReport {
  public:
   JsonReport(const Options& options, const char* bench_name)
@@ -213,70 +171,23 @@ class JsonReport {
 
   const std::string& bench_name() const { return bench_name_; }
 
-  void set(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, quote(value));
-  }
-  void set(const std::string& key, const char* value) {
-    set(key, std::string(value));
-  }
-  void set(const std::string& key, double value) {
-    fields_.emplace_back(key, format_double(value));
-  }
-  void set(const std::string& key, std::uint64_t value) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%" PRIu64, value);
-    fields_.emplace_back(key, buffer);
-  }
-  void set(const std::string& key, int value) {
-    set(key, static_cast<std::uint64_t>(value));
+  void set(const std::string& key, Json value) {
+    fields_.set(key, std::move(value));
   }
   void set(const std::string& key, const std::vector<double>& values) {
-    std::string rendered = "[";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) rendered += ",";
-      rendered += format_double(values[i]);
-    }
-    rendered += "]";
-    fields_.emplace_back(key, std::move(rendered));
-  }
-  /// Splices a pre-rendered JSON value (object/array) in as-is.
-  void set_json(const std::string& key, std::string raw_json) {
-    fields_.emplace_back(key, std::move(raw_json));
+    set(key, Json(Json::Array(values.begin(), values.end())));
   }
 
   /// Prints the report as one line iff --json was given. Call last: the
   /// BENCH_*.json capture is `... --json | tail -n1`.
   void print() const {
-    if (!enabled_) return;
-    std::fputs("{", stdout);
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i > 0) std::fputs(",", stdout);
-      std::printf("%s:%s", quote(fields_[i].first).c_str(),
-                  fields_[i].second.c_str());
-    }
-    std::fputs("}\n", stdout);
+    if (enabled_) std::printf("%s\n", fields_.dump().c_str());
   }
 
  private:
-  static std::string format_double(double value) {
-    char buffer[40];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return buffer;
-  }
-
-  static std::string quote(const std::string& text) {
-    std::string quoted = "\"";
-    for (char c : text) {
-      if (c == '"' || c == '\\') quoted += '\\';
-      quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-  }
-
   bool enabled_;
   std::string bench_name_;
-  std::vector<std::pair<std::string, std::string>> fields_;
+  Json fields_ = Json::object();
 };
 
 namespace detail {
@@ -343,14 +254,14 @@ inline void finish(JsonReport& report, const Options& options) {
   if (options.telemetry_enabled()) {
     const auto metrics = sim::telemetry::collect();
     print_telemetry_summary(metrics);
-    report.set_json("telemetry", sim::telemetry::to_json(
-                                     metrics, /*include_timers=*/false));
+    report.set("telemetry",
+               sim::telemetry::to_json(metrics, /*include_timers=*/false));
     if (!options.telemetry_out.empty()) {
-      char extra[128];
-      std::snprintf(extra, sizeof extra, "\"bench\":\"%s\",\"seed\":%" PRIu64 ",",
-                    report.bench_name().c_str(), options.seed);
       const std::string full =
-          sim::telemetry::to_json(metrics, /*include_timers=*/true, extra);
+          sim::telemetry::to_json(metrics, /*include_timers=*/true,
+                                  {{"bench", report.bench_name()},
+                                   {"seed", options.seed}})
+              .dump();
       if (std::FILE* file = std::fopen(options.telemetry_out.c_str(), "w")) {
         std::fputs(full.c_str(), file);
         std::fputc('\n', file);

@@ -218,14 +218,12 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
   write_file_atomic(options.out_dir + "/cells.csv",
                     render_cells_csv(plan, spec, results));
   if (options.telemetry) {
-    // Json handles escaping and arbitrary name length (a quote or backslash
-    // in the campaign name must not produce invalid telemetry.json).
-    const std::string extra = "\"campaign\":" + Json(spec.name).dump() +
-                              ",\"seed\":" + Json(spec.seed).dump() + ",";
     write_file_atomic(
         options.out_dir + "/telemetry.json",
         sim::telemetry::to_json(sim::telemetry::collect(),
-                                /*include_timers=*/true, extra));
+                                /*include_timers=*/true,
+                                {{"campaign", spec.name}, {"seed", spec.seed}})
+            .dump());
   }
   return outcome;
 }

@@ -20,7 +20,7 @@
 #include <string_view>
 #include <vector>
 
-#include "campaign/json.h"
+#include "json/json.h"
 #include "campaign/spec.h"
 #include "sim/engine.h"
 
@@ -60,7 +60,7 @@ class Experiment {
 
   /// Executes one unit. The engine is already seek_run() to the unit's run
   /// index. Returns the unit's result document (checkpointed verbatim; all
-  /// doubles survive the %.17g round trip bit-exactly).
+  /// doubles survive the Json dump/parse round trip bit-exactly).
   virtual Json run_unit(const CampaignSpec& spec, const WorkUnit& unit,
                         const Json& state, sim::TrialEngine& engine) const = 0;
 

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "campaign/json.h"
+#include "json/json.h"
 #include "campaign/spec.h"
 
 namespace ctc::campaign {

@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "campaign/json.h"
+#include "json/json.h"
 
 namespace ctc::campaign {
 

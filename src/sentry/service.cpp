@@ -1,13 +1,12 @@
 #include "sentry/service.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <exception>
 #include <thread>
 #include <utility>
 
 #include "dsp/require.h"
+#include "json/json.h"
 #include "sim/telemetry.h"
 
 namespace ctc::sentry {
@@ -41,19 +40,16 @@ std::uint64_t ServiceReport::total_attacks() const {
 }
 
 std::string SentryCounters::snapshot_json() const {
-  char buffer[256];
-  std::snprintf(buffer, sizeof buffer,
-                "{\"sentry_snapshot_schema\":1,\"ingested\":%" PRIu64
-                ",\"accepted\":%" PRIu64 ",\"dropped\":%" PRIu64
-                ",\"frames_detected\":%" PRIu64 ",\"verdicts\":%" PRIu64
-                ",\"attacks\":%" PRIu64 "}",
-                ingested.load(std::memory_order_relaxed),
-                accepted.load(std::memory_order_relaxed),
-                dropped.load(std::memory_order_relaxed),
-                frames_detected.load(std::memory_order_relaxed),
-                verdicts.load(std::memory_order_relaxed),
-                attacks.load(std::memory_order_relaxed));
-  return buffer;
+  Json snapshot = Json::object();
+  snapshot.set("sentry_snapshot_schema", kSnapshotSchemaVersion);
+  snapshot.set("ingested", ingested.load(std::memory_order_relaxed));
+  snapshot.set("accepted", accepted.load(std::memory_order_relaxed));
+  snapshot.set("dropped", dropped.load(std::memory_order_relaxed));
+  snapshot.set("frames_detected",
+               frames_detected.load(std::memory_order_relaxed));
+  snapshot.set("verdicts", verdicts.load(std::memory_order_relaxed));
+  snapshot.set("attacks", attacks.load(std::memory_order_relaxed));
+  return snapshot.dump();
 }
 
 struct SentryService::Impl {
@@ -119,7 +115,6 @@ struct ChannelRun {
                 [this](const VerdictRecord& record) {
                   CTC_TELEM_TIMER("sentry", "write_ns");
                   record.append_jsonl(report.verdicts_jsonl);
-                  report.verdicts_jsonl += '\n';
                   counters.verdicts.fetch_add(1, std::memory_order_relaxed);
                   if (record.is_attack) {
                     counters.attacks.fetch_add(1, std::memory_order_relaxed);

@@ -106,6 +106,9 @@ struct ServiceReport {
   std::uint64_t total_attacks() const;
 };
 
+/// Bumped whenever the counter snapshot layout changes shape.
+inline constexpr int kSnapshotSchemaVersion = 1;
+
 /// Live progress counters for the snapshot endpoint. Relaxed atomics bumped
 /// by whichever worker makes progress: cheap, monotonic, and approximate
 /// while running; exact once join() returns. Never used for control flow.
@@ -117,7 +120,7 @@ struct SentryCounters {
   std::atomic<std::uint64_t> verdicts{0};
   std::atomic<std::uint64_t> attacks{0};
 
-  /// One JSON line: {"sentry_snapshot_schema":1,...}.
+  /// One JSON line: {"sentry_snapshot_schema":kSnapshotSchemaVersion,...}.
   std::string snapshot_json() const;
 };
 

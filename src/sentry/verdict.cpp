@@ -1,63 +1,28 @@
 #include "sentry/verdict.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include "json/json.h"
 
 namespace ctc::sentry {
 
-namespace {
-
-void append_double(std::string& out, double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  out += buffer;
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%" PRIu64, value);
-  out += buffer;
-}
-
-}  // namespace
-
-std::string VerdictRecord::to_jsonl() const {
-  std::string out;
-  out.reserve(256);
-  append_jsonl(out);
-  return out;
-}
-
 void VerdictRecord::append_jsonl(std::string& out) const {
-  out += "{\"sentry_verdict_schema\":";
-  append_u64(out, static_cast<std::uint64_t>(kVerdictSchemaVersion));
-  out += ",\"channel\":";
-  append_u64(out, channel);
-  out += ",\"frame\":";
-  append_u64(out, frame_index);
-  out += ",\"stream_pos\":";
-  append_u64(out, stream_position);
-  out += ",\"frame_samples\":";
-  append_u64(out, frame_samples);
-  out += ",\"frame_ok\":";
-  out += frame_ok ? "true" : "false";
-  out += ",\"points\":";
-  append_u64(out, points);
-  out += ",\"valid\":";
-  out += valid ? "true" : "false";
-  out += ",\"de2\":";
-  append_double(out, de2);
-  out += ",\"c40\":";
-  append_double(out, c40);
-  out += ",\"c42\":";
-  append_double(out, c42);
-  out += ",\"is_attack\":";
-  out += is_attack ? "true" : "false";
-  out += ",\"queue_depth\":";
-  append_u64(out, queue_depth);
-  out += ",\"dropped\":";
-  append_u64(out, dropped_before);
-  out += "}";
+  Json line = Json::object();
+  line.as_object().reserve(14);
+  line.set("sentry_verdict_schema", kVerdictSchemaVersion);
+  line.set("channel", channel);
+  line.set("frame", frame_index);
+  line.set("stream_pos", stream_position);
+  line.set("frame_samples", frame_samples);
+  line.set("frame_ok", frame_ok);
+  line.set("points", points);
+  line.set("valid", valid);
+  line.set("de2", de2);
+  line.set("c40", c40);
+  line.set("c42", c42);
+  line.set("is_attack", is_attack);
+  line.set("queue_depth", queue_depth);
+  line.set("dropped", dropped_before);
+  line.dump_to(out);
+  out += '\n';
 }
 
 }  // namespace ctc::sentry

@@ -2,10 +2,10 @@
 //
 // The sentry emits one record per decoded frame as a single JSON line
 // (JSONL), so a long-running monitor can be tailed, grepped, and diffed.
-// Like the telemetry JSON the schema is versioned and every double prints
-// with %.17g, which makes two runs that compute identical verdicts emit
-// byte-identical lines — the property the replay-determinism CI gate
-// diffs (see docs/SENTRY.md).
+// Like the telemetry JSON the schema is versioned and the line is rendered
+// by the project's one JSON writer (json/json.h), which makes two runs that
+// compute identical verdicts emit byte-identical lines — the property the
+// replay-determinism CI gate diffs (see docs/SENTRY.md).
 #pragma once
 
 #include <cstdint>
@@ -41,12 +41,10 @@ struct VerdictRecord {
   /// Total samples dropped at ingest on this channel before this verdict.
   std::uint64_t dropped_before = 0;
 
-  /// Renders the record as one JSON line (no trailing newline).
-  std::string to_jsonl() const;
-
-  /// Appends the same line to `out` — the buffered-writer form: a channel's
-  /// whole verdict stream accumulates into one growing string with no
-  /// per-record temporary, and the bytes are identical to to_jsonl().
+  /// Appends the record to `out` as one '\n'-terminated JSON line — the
+  /// buffered-writer form: a channel's whole verdict stream accumulates
+  /// into one growing string. Throws JsonError, leaving `out` unchanged,
+  /// if a feature is non-finite.
   void append_jsonl(std::string& out) const;
 };
 

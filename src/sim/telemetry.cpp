@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <mutex>
 
 namespace ctc::sim::telemetry {
@@ -112,12 +111,6 @@ void merge_frame_into_accumulator_locked(const Frame& frame) {
   for (MetricId id : frame.touched) {
     accumulator().cell(id).merge(frame.cells[id]);
   }
-}
-
-std::string format_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
 }
 
 }  // namespace
@@ -267,42 +260,39 @@ void reset() {
   tls_frame.clear();
 }
 
-std::string to_json(const std::vector<MetricValue>& metrics,
-                    bool include_timers, const std::string& extra_fields) {
-  std::string out = "{\"telemetry_schema\":";
-  out += std::to_string(kSchemaVersion);
-  out += ",";
-  out += extra_fields;
-  out += "\"metrics\":[";
-  bool first = true;
+Json to_json(const std::vector<MetricValue>& metrics, bool include_timers,
+             Json::Object header) {
+  Json document = Json::object();
+  document.set("telemetry_schema", kSchemaVersion);
+  for (auto& [key, value] : header) {
+    document.set(std::move(key), std::move(value));
+  }
+  Json entries = Json::array();
   for (const MetricValue& metric : metrics) {
     if (!include_timers && metric.kind == Kind::timer) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "{\"stage\":\"" + metric.stage + "\",\"name\":\"" + metric.name +
-           "\",\"kind\":\"" + kind_name(metric.kind) + "\"";
-    out += ",\"count\":" + std::to_string(metric.cell.count);
-    out += ",\"sum\":" + format_double(metric.cell.sum);
+    Json entry = Json::object();
+    entry.set("stage", metric.stage);
+    entry.set("name", metric.name);
+    entry.set("kind", kind_name(metric.kind));
+    entry.set("count", metric.cell.count);
+    entry.set("sum", metric.cell.sum);
     if (metric.kind != Kind::counter) {
-      out += ",\"min\":" + format_double(metric.cell.min);
-      out += ",\"max\":" + format_double(metric.cell.max);
+      entry.set("min", metric.cell.min);
+      entry.set("max", metric.cell.max);
     }
     if (metric.kind == Kind::histo || metric.kind == Kind::timer) {
-      out += ",\"buckets\":[";
-      bool first_bucket = true;
+      Json buckets = Json::array();
       for (std::size_t b = 0; b < kHistoBuckets; ++b) {
         if (metric.cell.buckets[b] == 0) continue;
-        if (!first_bucket) out += ",";
-        first_bucket = false;
-        out += "[" + std::to_string(bucket_lower_bound(b)) + "," +
-               std::to_string(metric.cell.buckets[b]) + "]";
+        buckets.push_back(
+            Json::Array{bucket_lower_bound(b), metric.cell.buckets[b]});
       }
-      out += "]";
+      entry.set("buckets", std::move(buckets));
     }
-    out += "}";
+    entries.push_back(std::move(entry));
   }
-  out += "]}";
-  return out;
+  document.set("metrics", std::move(entries));
+  return document;
 }
 
 }  // namespace ctc::sim::telemetry

@@ -33,6 +33,8 @@
 #include <utility>
 #include <vector>
 
+#include "json/json.h"
+
 namespace ctc::sim::telemetry {
 
 /// Bumped whenever the emitted JSON layout changes shape.
@@ -196,15 +198,14 @@ std::vector<MetricValue> collect();
 /// between trials, so after a run this resets everything that matters).
 void reset();
 
-/// Renders metrics as a JSON object:
-///   {"telemetry_schema":1,<extra>"metrics":[{...},...]}
-/// `extra_fields` is spliced in verbatim (e.g. "\"bench\":\"x\",").
-/// With include_timers == false, timer metrics are dropped — that subset is
-/// bit-stable across thread counts and safe for determinism diffs; wall-
-/// clock timer values are not. Doubles print with %.17g (round-trip exact).
-std::string to_json(const std::vector<MetricValue>& metrics,
-                    bool include_timers,
-                    const std::string& extra_fields = "");
+/// Renders metrics as a JSON document:
+///   {"telemetry_schema":1,<header fields>,"metrics":[{...},...]}
+/// `header` fields (e.g. {"bench", name}) follow the schema version in
+/// their given order. With include_timers == false, timer metrics are
+/// dropped — that subset is bit-stable across thread counts and safe for
+/// determinism diffs; wall-clock timer values are not.
+Json to_json(const std::vector<MetricValue>& metrics, bool include_timers,
+             Json::Object header = {});
 
 }  // namespace ctc::sim::telemetry
 

@@ -35,8 +35,7 @@ ScanOutput scan_stream(std::span<const cplx> stream, std::size_t block_size,
                        const ScannerConfig& config = {}) {
   ScanOutput output;
   StreamScanner scanner(config, 0, [&](const VerdictRecord& record) {
-    output.jsonl += record.to_jsonl();
-    output.jsonl += '\n';
+    record.append_jsonl(output.jsonl);
     output.records.push_back(record);
   });
   for (std::size_t i = 0; i < stream.size(); i += block_size) {

@@ -23,6 +23,7 @@
 #include "campaign/manifest.h"
 #include "campaign/plan.h"
 #include "campaign/spec.h"
+#include "cli_flags.h"
 #include "sim/table.h"
 
 namespace {
@@ -63,36 +64,6 @@ std::optional<std::string> read_file(const char* path) {
   }
   std::fclose(file);
   return content;
-}
-
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                const char** out) {
-  const std::size_t len = std::strlen(name);
-  const char* arg = argv[i];
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0') {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s expects a value\n", name);
-      std::exit(2);
-    }
-    *out = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-std::uint64_t parse_u64(const char* text, const char* flag) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "invalid value for %s: %s\n", flag, text);
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(value);
 }
 
 int cmd_validate(const campaign::CampaignSpec& spec) {
@@ -149,20 +120,23 @@ int main(int argc, char** argv) {
   std::size_t plan_shards = 1;
   for (int i = 3; i < argc; ++i) {
     const char* value = nullptr;
-    if (flag_value(argc, argv, i, "--out", &value)) {
+    if (cli::flag_value(argc, argv, i, "--out", &value)) {
       options.out_dir = value;
-    } else if (flag_value(argc, argv, i, "--threads", &value)) {
-      options.threads = static_cast<std::size_t>(parse_u64(value, "--threads"));
-    } else if (flag_value(argc, argv, i, "--shards", &value)) {
-      options.shards = static_cast<std::size_t>(parse_u64(value, "--shards"));
+    } else if (cli::flag_value(argc, argv, i, "--threads", &value)) {
+      options.threads =
+          static_cast<std::size_t>(cli::parse_u64(value, "--threads"));
+    } else if (cli::flag_value(argc, argv, i, "--shards", &value)) {
+      options.shards =
+          static_cast<std::size_t>(cli::parse_u64(value, "--shards"));
       plan_shards = options.shards;
-    } else if (flag_value(argc, argv, i, "--shard", &value)) {
-      options.shard = static_cast<std::size_t>(parse_u64(value, "--shard"));
-    } else if (flag_value(argc, argv, i, "--max-units", &value)) {
+    } else if (cli::flag_value(argc, argv, i, "--shard", &value)) {
+      options.shard =
+          static_cast<std::size_t>(cli::parse_u64(value, "--shard"));
+    } else if (cli::flag_value(argc, argv, i, "--max-units", &value)) {
       options.max_units =
-          static_cast<std::size_t>(parse_u64(value, "--max-units"));
-    } else if (flag_value(argc, argv, i, "--seed", &value)) {
-      seed_override = parse_u64(value, "--seed");
+          static_cast<std::size_t>(cli::parse_u64(value, "--max-units"));
+    } else if (cli::flag_value(argc, argv, i, "--seed", &value)) {
+      seed_override = cli::parse_u64(value, "--seed");
     } else if (std::strcmp(argv[i], "--telemetry") == 0) {
       options.telemetry = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {

@@ -20,12 +20,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
 #include "dsp/iq_io.h"
 #include "sentry/service.h"
 #include "sim/telemetry.h"
@@ -111,46 +113,6 @@ struct CliOptions {
   std::exit(code);
 }
 
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                const char** out) {
-  const std::size_t len = std::strlen(name);
-  const char* arg = argv[i];
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0') {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s expects a value\n", name);
-      std::exit(2);
-    }
-    *out = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-std::uint64_t parse_u64(const char* text, const char* flag) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "invalid value for %s: %s\n", flag, text);
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
-double parse_double(const char* text, const char* flag) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "invalid value for %s: %s\n", flag, text);
-    std::exit(2);
-  }
-  return value;
-}
-
 CliOptions parse_cli(int argc, char** argv) {
   if (argc < 2) usage(2);
   CliOptions options;
@@ -169,33 +131,33 @@ CliOptions parse_cli(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const char* value = nullptr;
     const auto size_flag = [&](const char* name, std::size_t& field) {
-      if (!flag_value(argc, argv, i, name, &value)) return false;
-      field = static_cast<std::size_t>(parse_u64(value, name));
+      if (!cli::flag_value(argc, argv, i, name, &value)) return false;
+      field = static_cast<std::size_t>(cli::parse_u64(value, name));
       return true;
     };
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       usage(0);
     } else if (std::strcmp(argv[i], "--telemetry") == 0) {
       options.telemetry = true;
-    } else if (flag_value(argc, argv, i, "--telemetry-out", &value)) {
+    } else if (cli::flag_value(argc, argv, i, "--telemetry-out", &value)) {
       options.telemetry_out = value;
-    } else if (flag_value(argc, argv, i, "--verdicts", &value)) {
+    } else if (cli::flag_value(argc, argv, i, "--verdicts", &value)) {
       options.verdicts_path = value;
-    } else if (flag_value(argc, argv, i, "--capture", &value)) {
+    } else if (cli::flag_value(argc, argv, i, "--capture", &value)) {
       options.capture_path = value;
-    } else if (flag_value(argc, argv, i, "--capture-out", &value)) {
+    } else if (cli::flag_value(argc, argv, i, "--capture-out", &value)) {
       options.capture_out = value;
-    } else if (flag_value(argc, argv, i, "--rate", &value)) {
-      options.rate = parse_double(value, "--rate");
-    } else if (flag_value(argc, argv, i, "--threshold", &value)) {
-      options.threshold = parse_double(value, "--threshold");
-    } else if (flag_value(argc, argv, i, "--snr-db", &value)) {
-      options.snr_db = parse_double(value, "--snr-db");
-    } else if (flag_value(argc, argv, i, "--seed", &value)) {
-      options.seed = parse_u64(value, "--seed");
-    } else if (flag_value(argc, argv, i, "--snapshot-every-ms", &value)) {
-      options.snapshot_every_ms = parse_u64(value, "--snapshot-every-ms");
-    } else if (flag_value(argc, argv, i, "--sched", &value)) {
+    } else if (cli::flag_value(argc, argv, i, "--rate", &value)) {
+      options.rate = cli::parse_double(value, "--rate");
+    } else if (cli::flag_value(argc, argv, i, "--threshold", &value)) {
+      options.threshold = cli::parse_double(value, "--threshold");
+    } else if (cli::flag_value(argc, argv, i, "--snr-db", &value)) {
+      options.snr_db = cli::parse_double(value, "--snr-db");
+    } else if (cli::flag_value(argc, argv, i, "--seed", &value)) {
+      options.seed = cli::parse_u64(value, "--seed");
+    } else if (cli::flag_value(argc, argv, i, "--snapshot-every-ms", &value)) {
+      options.snapshot_every_ms = cli::parse_u64(value, "--snapshot-every-ms");
+    } else if (cli::flag_value(argc, argv, i, "--sched", &value)) {
       if (std::strcmp(value, "drr") == 0) {
         options.scheduler = sentry::DrainScheduler::deficit_round_robin;
       } else if (std::strcmp(value, "lockstep") == 0) {
@@ -252,10 +214,40 @@ class TeeSource : public sentry::SampleSource {
   cvec& sink_;
 };
 
-}  // namespace
+/// The periodic live snapshot endpoint: prints one counters JSON line to
+/// stderr every `period_ms` (never when 0) until destroyed.
+class SnapshotTicker {
+ public:
+  SnapshotTicker(const sentry::SentryCounters& counters,
+                 std::uint64_t period_ms) {
+    if (period_ms == 0) return;
+    thread_ = std::thread([this, &counters, period_ms] {
+      std::unique_lock<std::mutex> lock(mutex_);
+      while (!done_cv_.wait_for(lock, std::chrono::milliseconds(period_ms),
+                                [this] { return done_; })) {
+        std::fprintf(stderr, "%s\n", counters.snapshot_json().c_str());
+      }
+    });
+  }
+  ~SnapshotTicker() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      done_ = true;
+    }
+    done_cv_.notify_all();
+    if (thread_.joinable()) thread_.join();
+  }
+  SnapshotTicker(const SnapshotTicker&) = delete;
+  SnapshotTicker& operator=(const SnapshotTicker&) = delete;
 
-int main(int argc, char** argv) {
-  const CliOptions options = parse_cli(argc, argv);
+ private:
+  std::mutex mutex_;
+  std::condition_variable done_cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: it uses the members above
+};
+
+int run(const CliOptions& options) {
   sim::telemetry::set_enabled(options.telemetry ||
                               !options.telemetry_out.empty());
 
@@ -321,32 +313,10 @@ int main(int argc, char** argv) {
       });
 
   service.start();
-
-  // Periodic live snapshot endpoint: one counters JSON line to stderr.
-  std::thread snapshot_thread;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  bool done = false;
-  if (options.snapshot_every_ms > 0) {
-    snapshot_thread = std::thread([&] {
-      std::unique_lock<std::mutex> lock(done_mutex);
-      while (!done_cv.wait_for(
-          lock, std::chrono::milliseconds(options.snapshot_every_ms),
-          [&] { return done; })) {
-        std::fprintf(stderr, "%s\n",
-                     service.counters().snapshot_json().c_str());
-      }
-    });
-  }
-
-  const sentry::ServiceReport report = service.join();
-  if (snapshot_thread.joinable()) {
-    {
-      const std::lock_guard<std::mutex> lock(done_mutex);
-      done = true;
-    }
-    done_cv.notify_all();
-    snapshot_thread.join();
+  sentry::ServiceReport report;
+  {
+    const SnapshotTicker ticker(service.counters(), options.snapshot_every_ms);
+    report = service.join();
   }
 
   // Verdict stream: stdout by default, or --verdicts=FILE.
@@ -379,11 +349,11 @@ int main(int argc, char** argv) {
   if (sim::telemetry::enabled()) {
     const auto metrics = sim::telemetry::collect();
     const std::string deterministic =
-        sim::telemetry::to_json(metrics, /*include_timers=*/false);
+        sim::telemetry::to_json(metrics, /*include_timers=*/false).dump();
     std::fprintf(stderr, "%s\n", deterministic.c_str());
     if (!options.telemetry_out.empty()) {
       const std::string full =
-          sim::telemetry::to_json(metrics, /*include_timers=*/true);
+          sim::telemetry::to_json(metrics, /*include_timers=*/true).dump();
       if (std::FILE* file = std::fopen(options.telemetry_out.c_str(), "w")) {
         std::fputs(full.c_str(), file);
         std::fputc('\n', file);
@@ -395,4 +365,16 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliOptions options = parse_cli(argc, argv);
+  try {
+    return run(options);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "ctc_sentry: %s\n", error.what());
+    return 2;
+  }
 }

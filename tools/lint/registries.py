@@ -13,9 +13,10 @@ and verified against the documentation that promises them.
                     docs/PERFORMANCE.md kernel table.
 
   schema-docs       Every `*_schema` version string emitted from src/ must
-                    be documented: some docs/*.md file names the schema,
-                    pins the same version number, and mentions every field
-                    the emitter writes. (Docs may describe extra,
+                    be pinned in code (a literal or a k*SchemaVersion
+                    constant in the file or its twin) and documented: some
+                    docs/*.md file names the schema, pins the same version
+                    number, and mentions every field the emitter writes. (Docs may describe extra,
                     emitter-provided fields; the check is one-directional —
                     emitted ⊆ documented.)
 
@@ -280,13 +281,18 @@ def check_schema_docs(tree, root: Path, doc_dir: str = "docs") -> list:
             code_version = _schema_version_in_code(schema, source.rel, sources)
             doc_version_match = re.search(
                 re.escape(schema) + r'"?\s*:\s*(\d+)', doc_text)
-            if code_version is not None and doc_version_match is None:
+            if code_version is None:
+                findings.append(framework.Finding(
+                    source.rel, line_no, "schema-docs",
+                    f"'{schema}' has no version pinned in code — emit it "
+                    "from a literal or a k*SchemaVersion constant in "
+                    "this file or its header/source twin"))
+            elif doc_version_match is None:
                 findings.append(framework.Finding(
                     source.rel, line_no, "schema-docs",
                     f"'{schema}' version {code_version} is pinned in code "
                     f"but {doc_rel} never states a version"))
-            elif (code_version is not None and
-                  int(doc_version_match.group(1)) != code_version):
+            elif int(doc_version_match.group(1)) != code_version:
                 findings.append(framework.Finding(
                     source.rel, line_no, "schema-docs",
                     f"'{schema}' is version {code_version} in code but "

@@ -236,8 +236,11 @@ class SchemaDocsTest(unittest.TestCase):
     DOC = ('The widget stream (`"widget_schema": 2`) emits `frames`\n'
            'per record.\n')
 
-    def findings(self, emitter=EMITTER, doc=DOC):
-        tree = make_tree({"src/sim/widget.cpp": emitter})
+    def findings(self, emitter=EMITTER, doc=DOC, header=None):
+        files = {"src/sim/widget.cpp": emitter}
+        if header is not None:
+            files["src/sim/widget.h"] = header
+        tree = make_tree(files)
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             (root / "docs").mkdir()
@@ -269,6 +272,28 @@ class SchemaDocsTest(unittest.TestCase):
                    'out.set("frames", Json(n));\n'
                    'constexpr int kSchemaVersion = 2;\n')
         self.assertEqual(self.findings(emitter=emitter), [])
+
+    # A Json builder names the version through a constant, not a literal:
+    # the version is still read from the header twin and checked.
+    SET_EMITTER = ('out.set("widget_schema", kWidgetSchemaVersion);\n'
+                   'out.set("frames", n);\n')
+    SET_HEADER = 'inline constexpr int kWidgetSchemaVersion = 2;\n'
+
+    def test_set_emitter_version_from_twin_passes(self):
+        self.assertEqual(self.findings(emitter=self.SET_EMITTER,
+                                       header=self.SET_HEADER), [])
+
+    def test_set_emitter_version_mismatch_fires(self):
+        findings = self.findings(emitter=self.SET_EMITTER,
+                                 header=self.SET_HEADER,
+                                 doc=self.DOC.replace(": 2", ": 1"))
+        self.assertEqual(rules_of(findings), ["schema-docs"])
+        self.assertIn("version 2 in code but 1", findings[0].message)
+
+    def test_unpinned_version_fires(self):
+        findings = self.findings(emitter=self.SET_EMITTER)
+        self.assertEqual(rules_of(findings), ["schema-docs"])
+        self.assertIn("no version pinned", findings[0].message)
 
 
 class TelemetryRegistryTest(unittest.TestCase):
