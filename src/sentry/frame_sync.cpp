@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "dsp/kernels/kernels.h"
@@ -35,8 +36,6 @@ StreamScanner::StreamScanner(ScannerConfig config, std::size_t channel,
       on_verdict_(std::move(on_verdict)),
       receiver_(config_.receiver),
       detector_(config_.detector) {
-  CTC_REQUIRE(config_.max_psdu_bytes >= 1);
-  CTC_REQUIRE(config_.max_psdu_bytes <= zigbee::kMaxPsduBytes);
   const zigbee::Transmitter tx(
       {.samples_per_chip = config_.receiver.samples_per_chip,
        .normalize_power = true});
@@ -48,8 +47,7 @@ StreamScanner::StreamScanner(ScannerConfig config, std::size_t channel,
   // peak (the metric is smooth across sub-chip offsets); half a symbol of
   // hill-climb headroom refines it without ever re-deciding earlier offsets.
   guard_ = 8 * config_.receiver.samples_per_chip;
-  frame_need_ =
-      ppdu_samples(config_.max_psdu_bytes, config_.receiver.samples_per_chip);
+  header_need_ = ppdu_samples(0, config_.receiver.samples_per_chip) + 1;
 
   // Preamble-structure screen setup. The SHR is eight identical preamble
   // symbols followed by the SFD: with the O-QPSK half-sine pulse confined to
@@ -82,6 +80,12 @@ std::size_t StreamScanner::ppdu_samples(std::size_t psdu_bytes,
   return (symbols * zigbee::kChipsPerSymbol + 1) * samples_per_chip;
 }
 
+std::size_t StreamScanner::decode_need(std::size_t psdu_bytes) const {
+  const std::size_t spc = config_.receiver.samples_per_chip;
+  return std::min(ppdu_samples(psdu_bytes, spc) + 1,
+                  ppdu_samples(zigbee::kMaxPsduBytes, spc));
+}
+
 void StreamScanner::push(std::span<const cplx> samples,
                          std::size_t queue_depth,
                          std::uint64_t dropped_so_far) {
@@ -94,33 +98,70 @@ void StreamScanner::push(std::span<const cplx> samples,
   // once, on arrival. Scan rounds overlap by window_ - 1 + guard_ samples,
   // so the pre-cache scanner recomputed these norms once per overlapping
   // round; now they are loads.
+  //
+  // Ingest sanitisation happens here, before any scan reads the block: a
+  // sample whose norm is not finite (NaN, +-Inf, or a finite sample whose
+  // |x|^2 overflows) is zeroed in both buffers. Left in place it would turn
+  // every later window energy of its scan round into NaN, which fails every
+  // threshold test and hides frames far from the damage.
   const std::size_t old_size = norms_.size();
   norms_.resize(buffer_.size());
+  // Set once any norm is not finite (NaN fails the comparison, +Inf
+  // exceeds max()). A select rather than a branch or a bool reduction, so
+  // the loop vectorizes like the plain norm loop.
+  double non_finite = 0.0;
   for (std::size_t i = old_size; i < buffer_.size(); ++i) {
-    norms_[i] = std::norm(buffer_[i]);
+    const double norm = std::norm(buffer_[i]);
+    norms_[i] = norm;
+    non_finite = norm <= std::numeric_limits<double>::max() ? non_finite : 1.0;
   }
+  if (non_finite != 0.0) quarantine(old_size);
   advance(false);
+}
+
+void StreamScanner::quarantine(std::size_t from) {
+  std::uint64_t quarantined = 0;
+  for (std::size_t i = from; i < buffer_.size(); ++i) {
+    if (!std::isfinite(norms_[i])) {
+      buffer_[i] = cplx{0.0, 0.0};
+      norms_[i] = 0.0;
+      ++quarantined;
+    }
+  }
+  stats_.samples_quarantined += quarantined;
+  CTC_TELEM_COUNT("sentry", "quarantined", quarantined);
 }
 
 void StreamScanner::flush() { advance(true); }
 
 void StreamScanner::advance(bool flushing) {
   for (;;) {
-    if (pending_sync_ != kNoPendingSync) {
-      const bool ready = avail() >= pending_sync_ + frame_need_;
-      if (!ready && !flushing) return;
-      if (!ready && avail() <= pending_sync_) {
-        // Flushing and even the frame start fell off the stream end.
-        consume(avail());
-        pending_sync_ = kNoPendingSync;
-        return;
-      }
-      const std::size_t offset = pending_sync_;
-      pending_sync_ = kNoPendingSync;
-      decode_at(offset);
+    if (pending_sync_ == kNoPendingSync) {
+      if (!scan_round(flushing)) return;
       continue;
     }
-    if (!scan_round(flushing)) return;
+    const std::size_t offset = pending_sync_;
+    const std::size_t have = avail() - offset;
+    std::size_t take = pending_need_;
+    if (have < pending_need_) {
+      if (!flushing) return;
+      take = have;  // stream end: decode the truncated tail
+    } else if (!length_read_) {
+      // Stage 1: SHR + PHR are buffered. A valid length sets the stage-2
+      // wait; an invalid PHR decodes now, which rejects it (phr_ok false).
+      length_read_ = true;
+      {
+        CTC_TELEM_LAP(header_read_ns_);
+        receiver_.read_header(
+            std::span<const cplx>(data() + offset, header_need_), header_);
+      }
+      if (header_.psdu_bytes) {
+        pending_need_ = decode_need(*header_.psdu_bytes);
+        continue;
+      }
+    }
+    pending_sync_ = kNoPendingSync;
+    decode_at(offset, take);
   }
 }
 
@@ -251,17 +292,22 @@ bool StreamScanner::scan_round(bool flushing) {
   ++stats_.frames_detected;
   CTC_TELEM_COUNT("sentry", "frame_detected", 1);
   pending_sync_ = best;
+  pending_need_ = header_need_;
+  length_read_ = false;
+  header_read_ns_ = 0;
   return true;
 }
 
-void StreamScanner::decode_at(std::size_t offset) {
-  CTC_TELEM_TIMER("sentry", "frame_ns");
+void StreamScanner::decode_at(std::size_t offset, std::size_t take) {
+  CTC_TELEM_TIMER("sentry", "frame_ns", header_read_ns_);
   const std::size_t have = avail() - offset;
-  const std::size_t take = std::min(have, frame_need_);
   std::optional<zigbee::ReceiveResult> decoded;
   {
-    CTC_TELEM_TIMER("sentry", "decode_ns");
-    decoded = receiver_.receive(std::span<const cplx>(data() + offset, take));
+    CTC_TELEM_TIMER("sentry", "decode_ns", header_read_ns_);
+    // The decode resumes from the header pass when stage 1 ran it.
+    const std::span<const cplx> frame(data() + offset, take);
+    decoded = length_read_ ? receiver_.receive(frame, header_)
+                           : receiver_.receive(frame);
   }
   const zigbee::ReceiveResult& rx = *decoded;
 

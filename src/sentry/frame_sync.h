@@ -20,10 +20,23 @@
 // at once produce byte-identical verdict streams (pinned by
 // tests/sentry/frame_sync_test.cpp).
 //
-// Latency is bounded by construction: a verdict is emitted no later than
-// `frame_need()` samples after the frame's first sample entered the
-// scanner (the lookahead that guarantees a maximum-size PPDU is fully
-// buffered), plus whatever the caller's block size adds.
+// Latency follows each frame's own length. After a sync the scanner waits
+// for the SHR + PHR plus one sample and runs the receiver's header pass
+// (zigbee::Receiver::read_header) to learn the PHR length. A valid length
+// L then waits for the PPDU plus one sample (capped at the 127-byte PPDU)
+// and the decode resumes from that header pass instead of repeating it; an
+// invalid PHR is rejected at once. The extra sample is the one clock
+// recovery's fractional delay may read past the PPDU. A verdict is
+// therefore emitted once the sample after the frame's last is buffered,
+// plus whatever the caller's block size adds. Both waits are fixed sample
+// counts derived from sample values, so the partition invariance above
+// holds.
+//
+// Ingest sanitisation: push() zeroes every sample whose |x|^2 is not finite
+// (NaN, +-Inf, or a finite sample whose norm overflows) before any scan
+// touches it, and counts it in ScannerStats::samples_quarantined. A
+// non-finite sample therefore damages at most the frame whose span it falls
+// in; it can never turn a scan round's energies into NaN.
 #pragma once
 
 #include <cstdint>
@@ -41,24 +54,21 @@ namespace ctc::sentry {
 struct ScannerConfig {
   zigbee::ReceiverConfig receiver;
   defense::DetectorConfig detector;
-  /// Largest PSDU the scanner waits for before decoding a detected frame —
-  /// the bounded-latency knob. Streams with larger frames decode truncated
-  /// (phr fails, frame skipped); 127 accepts anything 802.15.4 allows.
-  std::size_t max_psdu_bytes = zigbee::kMaxPsduBytes;
 };
 
 /// Monotonic per-channel progress counters (plain integers: the scanner is
 /// single-threaded; the service aggregates across channels separately).
 struct ScannerStats {
-  std::uint64_t samples_in = 0;       ///< samples pushed
-  std::uint64_t samples_consumed = 0; ///< samples retired from the buffer
-  std::uint64_t scan_rounds = 0;      ///< sync searches run
-  std::uint64_t sync_misses = 0;      ///< rounds with no acceptable peak
-  std::uint64_t frames_detected = 0;  ///< accepted correlation peaks
-  std::uint64_t frames_decoded = 0;   ///< detected frames with a valid PHR
-  std::uint64_t frames_ok = 0;        ///< decoded frames passing CRC etc.
-  std::uint64_t verdicts = 0;         ///< VerdictRecords emitted
-  std::uint64_t verdicts_attack = 0;  ///< records with is_attack == true
+  std::uint64_t samples_in = 0;           ///< samples pushed
+  std::uint64_t samples_quarantined = 0;  ///< non-finite samples zeroed
+  std::uint64_t samples_consumed = 0;     ///< samples retired from the buffer
+  std::uint64_t scan_rounds = 0;          ///< sync searches run
+  std::uint64_t sync_misses = 0;          ///< rounds with no acceptable peak
+  std::uint64_t frames_detected = 0;      ///< accepted correlation peaks
+  std::uint64_t frames_decoded = 0;       ///< detected frames with a valid PHR
+  std::uint64_t frames_ok = 0;            ///< decoded frames passing CRC etc.
+  std::uint64_t verdicts = 0;             ///< VerdictRecords emitted
+  std::uint64_t verdicts_attack = 0;      ///< records with is_attack == true
 };
 
 class StreamScanner {
@@ -89,10 +99,6 @@ class StreamScanner {
   static std::size_t ppdu_samples(std::size_t psdu_bytes,
                                   std::size_t samples_per_chip);
 
-  /// The scanner's bounded lookahead: samples that must be buffered past a
-  /// detected frame start before the decode runs.
-  std::size_t frame_need() const { return frame_need_; }
-
   /// SHR correlation window length in samples.
   std::size_t sync_window() const { return window_; }
 
@@ -101,8 +107,17 @@ class StreamScanner {
   /// One scan round over the buffered stream; returns true when the round
   /// consumed samples or detected a frame (i.e. progress was made).
   bool scan_round(bool flushing);
-  void decode_at(std::size_t offset);
+  /// Decodes the frame starting at `offset` from `take` buffered samples
+  /// and emits its verdict (or counts a false sync).
+  void decode_at(std::size_t offset, std::size_t take);
   void consume(std::size_t count);
+  /// Zeroes (in buffer_ and norms_) and counts every sample from `from` on
+  /// whose norm is not finite.
+  void quarantine(std::size_t from);
+  /// Samples a frame announcing `psdu_bytes` waits for past its start: its
+  /// PPDU plus the one sample clock recovery may look ahead, capped at the
+  /// 127-byte PPDU (the largest window the receiver is ever handed).
+  std::size_t decode_need(std::size_t psdu_bytes) const;
 
   const cplx* data() const { return buffer_.data() + start_; }
   std::size_t avail() const { return buffer_.size() - start_; }
@@ -114,8 +129,10 @@ class StreamScanner {
   defense::StreamingDetector detector_;
   cvec shr_reference_;
   double reference_energy_ = 0.0;
-  std::size_t window_ = 0;      ///< SHR samples
-  std::size_t frame_need_ = 0;  ///< max PPDU samples (lookahead bound)
+  std::size_t window_ = 0;       ///< SHR samples
+  /// Samples past a frame start its PHR read waits for: SHR + PHR plus
+  /// the one sample clock recovery may look ahead.
+  std::size_t header_need_ = 0;
   /// Preamble-structure screen: the SHR's eight preamble symbols repeat the
   /// same sample block (symbol period seg_len_), so symbols 1..7 of the
   /// reference are bitwise-identical segments. A scan round correlates the
@@ -139,10 +156,18 @@ class StreamScanner {
   cvec buffer_;
   std::size_t start_ = 0;  ///< consumed prefix within buffer_ (compacted lazily)
   std::uint64_t base_position_ = 0;  ///< stream index of data()[0]
-  /// Offset (within buffer_) of a detected frame start still waiting for
-  /// frame_need_ samples of lookahead; SIZE_MAX = none pending.
+  /// Offset (within data()) of a detected frame start still waiting for
+  /// samples; kNoPendingSync = none pending.
   std::size_t pending_sync_ = kNoPendingSync;
   static constexpr std::size_t kNoPendingSync = static_cast<std::size_t>(-1);
+  /// Samples past pending_sync_ the pending frame waits for: header_need_
+  /// until its PHR length is read, then decode_need(length).
+  std::size_t pending_need_ = 0;
+  bool length_read_ = false;  ///< header_ holds the pending frame's header
+  zigbee::HeaderRead header_;  ///< the pending frame's header pass
+  /// Wall time of the pending frame's PHR read, folded into its one
+  /// sentry/decode_ns and sentry/frame_ns observation (telemetry only).
+  std::uint64_t header_read_ns_ = 0;
 
   std::size_t last_queue_depth_ = 0;
   std::uint64_t last_dropped_ = 0;

@@ -23,6 +23,14 @@ std::uint64_t ServiceReport::total_dropped() const {
   return total;
 }
 
+std::uint64_t ServiceReport::total_quarantined() const {
+  std::uint64_t total = 0;
+  for (const ChannelReport& channel : channels) {
+    total += channel.scanner.samples_quarantined;
+  }
+  return total;
+}
+
 std::uint64_t ServiceReport::total_verdicts() const {
   std::uint64_t total = 0;
   for (const ChannelReport& channel : channels) {

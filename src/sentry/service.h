@@ -102,6 +102,7 @@ struct ServiceReport {
 
   std::uint64_t total_ingested() const;
   std::uint64_t total_dropped() const;
+  std::uint64_t total_quarantined() const;
   std::uint64_t total_verdicts() const;
   std::uint64_t total_attacks() const;
 };

@@ -95,14 +95,27 @@ void observe(MetricId id, double value);              // gauge
 void record_histo(MetricId id, std::uint64_t value);  // log2-bucketed
 void record_timer(MetricId id, std::uint64_t nanoseconds);
 
+/// Nanoseconds since `start` on the steady clock.
+inline std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 /// RAII timing span: records elapsed ns into a timer metric on destruction.
 /// Instantiate via CTC_TELEM_TIMER so the whole object disappears under
 /// CTC_TELEMETRY_DISABLED. Takes the metric id shifted by one so that 0 can
 /// mean "inert" — the macro resolves the id only when telemetry is enabled,
-/// keeping the disabled path to a single atomic load.
+/// keeping the disabled path to a single atomic load. `carry`, when given,
+/// holds the time earlier laps of the same operation left there
+/// (CTC_TELEM_LAP); it is folded into this span's one observation, so an
+/// operation split across calls still counts once.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(MetricId id_plus_one) {
+  explicit ScopedTimer(MetricId id_plus_one,
+                       const std::uint64_t* carry = nullptr)
+      : carry_(carry) {
     if (id_plus_one != 0) {
       id_ = id_plus_one - 1;
       active_ = true;
@@ -111,11 +124,7 @@ class ScopedTimer {
   }
   ~ScopedTimer() {
     if (active_) {
-      const auto elapsed = std::chrono::steady_clock::now() - start_;
-      record_timer(id_, static_cast<std::uint64_t>(
-                            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                elapsed)
-                                .count()));
+      record_timer(id_, elapsed_ns(start_) + (carry_ != nullptr ? *carry_ : 0));
     }
   }
   ScopedTimer(const ScopedTimer&) = delete;
@@ -124,6 +133,25 @@ class ScopedTimer {
  private:
   MetricId id_ = 0;
   bool active_ = false;
+  const std::uint64_t* carry_ = nullptr;
+  std::chrono::steady_clock::time_point start_{};
+};
+
+/// RAII lap: adds its elapsed ns to `*carry` instead of recording an
+/// observation (null `carry` = inert). Instantiate via CTC_TELEM_LAP.
+class LapTimer {
+ public:
+  explicit LapTimer(std::uint64_t* carry) : carry_(carry) {
+    if (carry_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  ~LapTimer() {
+    if (carry_ != nullptr) *carry_ += elapsed_ns(start_);
+  }
+  LapTimer(const LapTimer&) = delete;
+  LapTimer& operator=(const LapTimer&) = delete;
+
+ private:
+  std::uint64_t* carry_ = nullptr;
   std::chrono::steady_clock::time_point start_{};
 };
 
@@ -231,8 +259,12 @@ Json to_json(const std::vector<MetricValue>& metrics, bool include_timers,
   do {                                      \
     (void)sizeof(value);                    \
   } while (0)
-#define CTC_TELEM_TIMER(stage, name) \
-  do {                               \
+#define CTC_TELEM_TIMER(stage, name, ...) \
+  do {                                    \
+  } while (0)
+#define CTC_TELEM_LAP(carry)  \
+  do {                        \
+    (void)sizeof(carry);      \
   } while (0)
 
 #else
@@ -273,7 +305,9 @@ Json to_json(const std::vector<MetricValue>& metrics, bool include_timers,
 // The ScopedTimer must be a block-scope object (it records at scope exit),
 // so the lazy id registration lives in a helper lambda resolved only when
 // the layer is enabled (0 = inert sentinel, see ScopedTimer).
-#define CTC_TELEM_TIMER(stage, name)                                         \
+// Optional third argument: a std::uint64_t carry that CTC_TELEM_LAP spans
+// filled earlier; the timer records carry + its own span as one observation.
+#define CTC_TELEM_TIMER(stage, name, ...)                                    \
   const ::ctc::sim::telemetry::ScopedTimer CTC_TELEM_CAT(                    \
       ctc_telem_timer_, __LINE__)(                                           \
       ::ctc::sim::telemetry::enabled()                                       \
@@ -283,6 +317,12 @@ Json to_json(const std::vector<MetricValue>& metrics, bool include_timers,
                       ::ctc::sim::telemetry::Kind::timer, stage, name);      \
               return ctc_telem_id + 1;                                       \
             }()                                                              \
-          : 0)
+          : 0 __VA_OPT__(, &(__VA_ARGS__)))
+// Times the first part of an operation into `carry` (a std::uint64_t the
+// caller zeroes per operation) without recording anything.
+#define CTC_TELEM_LAP(carry)                                                 \
+  const ::ctc::sim::telemetry::LapTimer CTC_TELEM_CAT(ctc_telem_lap_,        \
+                                                      __LINE__)(             \
+      ::ctc::sim::telemetry::enabled() ? &(carry) : nullptr)
 
 #endif  // CTC_TELEMETRY_DISABLED

@@ -1,5 +1,6 @@
 #include "zigbee/receiver.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "dsp/kernels/kernels.h"
@@ -16,6 +17,49 @@ namespace {
 constexpr std::size_t kShrSymbols = 2 * (kPreambleBytes + 1);  // 10
 constexpr std::size_t kPhrSymbols = 2;
 constexpr std::size_t kHeaderSymbols = kShrSymbols + kPhrSymbols;
+
+/// Per-thread receive scratch: receive() runs on every Monte Carlo trial,
+/// and these buffers were its per-trial allocation high-water mark.
+struct Scratch {
+  cvec retimed;    ///< clock-recovered waveform
+  cvec equalized;  ///< the frame, divided by h
+  /// Chip caches the frame pass extends from the header's chips. Both
+  /// demodulations are per-chip, so extending a cache is bit-identical to
+  /// a full-stream call: the header's chips are demodulated once.
+  rvec freq_chips;
+  rvec soft_chips;
+};
+thread_local Scratch scratch;
+
+/// Grows `equalized` from its current size to the first `samples` samples
+/// of `waveform` divided by h (left undivided when |h| is too small to
+/// divide by). cdiv is elementwise, so a staged division rounds every
+/// sample exactly as a one-shot one.
+void equalize(std::span<const cplx> waveform, std::size_t samples, cplx h,
+              cvec& equalized) {
+  const std::size_t have = equalized.size();
+  CTC_REQUIRE(have <= samples && samples <= waveform.size());
+  equalized.insert(equalized.end(),
+                   waveform.begin() + static_cast<std::ptrdiff_t>(have),
+                   waveform.begin() + static_cast<std::ptrdiff_t>(samples));
+  if (std::abs(h) > 1e-9) {
+    dsp::kernels::active().cdiv(equalized.data() + have, samples - have, h);
+  }
+}
+
+/// Despreads the first `num_chips` of `chips` (frequency chips for the
+/// differential profile, soft chips for the coherent one) with the
+/// profile's correlation threshold.
+std::vector<DespreadResult> despread_chips(const rvec& chips,
+                                           const ReceiverProfile& profile,
+                                           std::size_t num_chips) {
+  const std::span<const double> head(chips.data(), num_chips);
+  if (profile.demod == DemodKind::differential) {
+    return despread_differential(head, profile.correlation_threshold);
+  }
+  return despread(OqpskDemodulator::hard_decision(head),
+                  profile.correlation_threshold);
+}
 
 }  // namespace
 
@@ -67,25 +111,28 @@ Receiver::Receiver(ReceiverConfig config)
   }
 }
 
-ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
-  CTC_TELEM_TIMER("zigbee_rx", "receive");
-  CTC_TELEM_COUNT("zigbee_rx", "frames", 1);
-  ReceiveResult result;
+void Receiver::read_header(std::span<const cplx> waveform,
+                           HeaderRead& header) const {
   const std::size_t spc = config_.samples_per_chip;
-  const std::size_t shr_chips = kShrSymbols * kChipsPerSymbol;
   const std::size_t header_chips = kHeaderSymbols * kChipsPerSymbol;
-  if (waveform.size() < (header_chips + 1) * spc) return result;
+  const std::size_t header_samples = (header_chips + 1) * spc;
+  header.complete = waveform.size() >= header_samples;
+  header.shr_ok = false;
+  header.psdu_bytes.reset();
+  header.timing_offset = 0.0;
+  header.channel_estimate = cplx{1.0, 0.0};
+  header.freq_chips.clear();
+  header.soft_chips.clear();
+  if (!header.complete) return;
 
   // Clock recovery (Fig. 1): maximize the SHR correlation magnitude over a
   // sub-sample timing grid, then undo the winning fractional delay. The
   // shifted references (and their window energies) come from the grid
   // precomputed at construction.
-  thread_local cvec retimed;
   const dsp::kernels::KernelTable& kt = dsp::kernels::active();
+  const std::size_t window = kShrSymbols * kChipsPerSymbol * spc;
   if (config_.timing_recovery) {
-    const std::size_t window = shr_chips * spc;
     double best_metric = -1.0;
-    double best_offset = 0.0;
     for (const TimingReference& entry : timing_grid_) {
       const cplx correlation =
           kt.dot_conj(waveform.data(), entry.reference.data(), window);
@@ -96,45 +143,103 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
                                 : 0.0;
       if (metric > best_metric) {
         best_metric = metric;
-        best_offset = entry.tau;
+        header.timing_offset = entry.tau;
       }
     }
-    if (best_offset != 0.0) {
-      retimed = dsp::fractional_delay(waveform, -best_offset);
-      waveform = retimed;
-      result.timing_offset_estimate = best_offset;
+    if (header.timing_offset != 0.0) {
+      // Retime only what the header pass reads: SHR + PHR plus the one
+      // sample the interpolation looks ahead.
+      scratch.retimed = dsp::fractional_delay(
+          waveform.first(std::min(waveform.size(), header_samples + 1)),
+          -header.timing_offset);
+      waveform = scratch.retimed;
     }
   }
 
   // Data-aided channel estimate over the SHR window: h = <r, ref> / ||ref||^2.
   // The coherent path needs it; the discriminator path is gain/phase
-  // agnostic but shares the equalized buffer for simplicity. Thread-local
-  // scratch: receive() runs on every Monte Carlo trial, and this copy was
-  // the per-trial allocation high-water mark.
-  //
-  // The copy (and the division below) is staged: only the header span is
-  // equalized up front; once the PHR reveals the frame length the buffer is
-  // extended to exactly the frame. Callers hand receive() a span sized for
-  // the LARGEST admissible frame (the scanner's bounded lookahead), so
-  // equalizing the whole span would process ~3.6x the samples a typical
-  // frame occupies. cdiv is elementwise, so the staged division rounds
-  // every sample exactly as the one-shot division did.
-  thread_local cvec equalized;
-  const std::size_t header_samples = (header_chips + 1) * spc;
-  equalized.assign(waveform.begin(),
-                   waveform.begin() +
-                       static_cast<std::ptrdiff_t>(header_samples));
-  const std::size_t window = shr_chips * spc;
+  // agnostic but shares the equalized buffer for simplicity.
   const cplx correlation =
       kt.dot_conj(waveform.data(), shr_reference_.data(), window);
-  const double reference_energy = kt.energy(shr_reference_.data(), window);
-  const cplx h = correlation / reference_energy;
-  const bool equalizer_applied = std::abs(h) > 1e-9;
-  if (equalizer_applied) {
-    result.channel_estimate = h;
-    kt.cdiv(equalized.data(), equalized.size(), h);
+  header.channel_estimate =
+      correlation / kt.energy(shr_reference_.data(), window);
+  header.equalized.clear();
+  equalize(waveform, header_samples, header.channel_estimate,
+           header.equalized);
+
+  // Pass 1: header only, to learn the frame length. Both demodulations are
+  // per-chip, so finish() extends these chips to the frame bit-identically
+  // to a full-stream call.
+  const bool differential = config_.profile.demod == DemodKind::differential;
+  if (differential) {
+    demodulator_.extend_frequency_chips(header.equalized, header_chips,
+                                        header.freq_chips);
+  } else {
+    demodulator_.extend_soft_chips(header.equalized, header_chips,
+                                   header.soft_chips);
   }
+  const auto symbols =
+      despread_chips(differential ? header.freq_chips : header.soft_chips,
+                     config_.profile, header_chips);
+
+  // Preamble: eight 0 symbols; SFD 0xA7 -> symbols {7, 10} (low nibble first).
+  bool shr_ok = true;
+  for (std::size_t s = 0; s < 2 * kPreambleBytes; ++s) {
+    if (!symbols[s].accepted || symbols[s].symbol != 0) shr_ok = false;
+  }
+  const auto& sfd_low = symbols[2 * kPreambleBytes];
+  const auto& sfd_high = symbols[2 * kPreambleBytes + 1];
+  if (!sfd_low.accepted || sfd_low.symbol != (kSfd & 0x0F)) shr_ok = false;
+  if (!sfd_high.accepted || sfd_high.symbol != (kSfd >> 4)) shr_ok = false;
+  header.shr_ok = shr_ok;
+
+  // PHR: frame length.
+  const auto& len_low = symbols[kShrSymbols];
+  const auto& len_high = symbols[kShrSymbols + 1];
+  if (len_low.accepted && len_high.accepted) {
+    const std::size_t psdu_bytes =
+        (static_cast<std::size_t>(len_high.symbol) << 4) | len_low.symbol;
+    if (psdu_bytes >= 1 && psdu_bytes <= kMaxPsduBytes) {
+      header.psdu_bytes = psdu_bytes;
+    }
+  }
+}
+
+ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
+  CTC_TELEM_TIMER("zigbee_rx", "receive");
+  CTC_TELEM_COUNT("zigbee_rx", "frames", 1);
+  // Thread-local like the rest of the scratch: receive() runs on every
+  // Monte Carlo trial, and a fresh HeaderRead would allocate its chips.
+  thread_local HeaderRead header;
+  read_header(waveform, header);
+  return finish(waveform, header);
+}
+
+ReceiveResult Receiver::receive(std::span<const cplx> waveform,
+                                const HeaderRead& header) const {
+  CTC_TELEM_TIMER("zigbee_rx", "receive");
+  CTC_TELEM_COUNT("zigbee_rx", "frames", 1);
+  return finish(waveform, header);
+}
+
+ReceiveResult Receiver::finish(std::span<const cplx> waveform,
+                               const HeaderRead& header) const {
+  ReceiveResult result;
+  if (!header.complete) return result;
+  result.shr_ok = header.shr_ok;
+  if (result.shr_ok) CTC_TELEM_COUNT("zigbee_rx", "shr_ok", 1);
+  const cplx h = header.channel_estimate;
+  const bool equalizer_applied = std::abs(h) > 1e-9;
+  if (equalizer_applied) result.channel_estimate = h;
+  result.timing_offset_estimate = header.timing_offset;
+  if (header.timing_offset != 0.0) {
+    scratch.retimed = dsp::fractional_delay(waveform, -header.timing_offset);
+    waveform = scratch.retimed;
+  }
+
   // Noise estimate from the residual r - h*ref over the SHR window.
+  const std::size_t spc = config_.samples_per_chip;
+  const std::size_t window = kShrSymbols * kChipsPerSymbol * spc;
   double residual_energy = 0.0;
   double signal_energy = 0.0;
   for (std::size_t i = 0; i < window; ++i) {
@@ -147,94 +252,39 @@ ReceiveResult Receiver::receive(std::span<const cplx> waveform) const {
         10.0 * std::log10(signal_energy / residual_energy);
   }
 
-  const bool differential = config_.profile.demod == DemodKind::differential;
-  const std::size_t threshold = config_.profile.correlation_threshold;
-
-  // Chip caches shared by the header pass, the defense taps, and the final
-  // despread. Both demodulations are per-chip, so extending a cache is
-  // bit-identical to the full-stream calls this code used to make — the
-  // header's chips are demodulated once instead of three times (header
-  // despread, full-frame tap, full-frame despread).
-  thread_local rvec freq_cache;
-  thread_local rvec soft_cache;
-  freq_cache.clear();
-  soft_cache.clear();
-  const auto freq_upto = [&](std::size_t num_chips) -> const rvec& {
-    demodulator_.extend_frequency_chips(equalized, num_chips, freq_cache);
-    return freq_cache;
-  };
-  const auto soft_upto = [&](std::size_t num_chips) -> const rvec& {
-    demodulator_.extend_soft_chips(equalized, num_chips, soft_cache);
-    return soft_cache;
-  };
-  auto despread_stream = [&](std::size_t num_chips) {
-    if (differential) {
-      const rvec& chips = freq_upto(num_chips);
-      return despread_differential(
-          std::span<const double>(chips.data(), num_chips), threshold);
-    }
-    const rvec& soft = soft_upto(num_chips);
-    const auto hard = OqpskDemodulator::hard_decision(
-        std::span<const double>(soft.data(), num_chips));
-    return despread(hard, threshold);
-  };
-
-  // Pass 1: header only, to learn the frame length.
-  const auto header_symbols = despread_stream(header_chips);
-
-  // Preamble: eight 0 symbols; SFD 0xA7 -> symbols {7, 10} (low nibble first).
-  bool shr_ok = true;
-  for (std::size_t s = 0; s < 2 * kPreambleBytes; ++s) {
-    if (!header_symbols[s].accepted || header_symbols[s].symbol != 0) {
-      shr_ok = false;
-    }
-  }
-  const auto& sfd_low = header_symbols[2 * kPreambleBytes];
-  const auto& sfd_high = header_symbols[2 * kPreambleBytes + 1];
-  if (!sfd_low.accepted || sfd_low.symbol != (kSfd & 0x0F)) shr_ok = false;
-  if (!sfd_high.accepted || sfd_high.symbol != (kSfd >> 4)) shr_ok = false;
-  result.shr_ok = shr_ok;
-  if (shr_ok) CTC_TELEM_COUNT("zigbee_rx", "shr_ok", 1);
-
-  // PHR: frame length.
-  const auto& len_low = header_symbols[kShrSymbols];
-  const auto& len_high = header_symbols[kShrSymbols + 1];
-  if (!len_low.accepted || !len_high.accepted) return result;
-  const std::size_t psdu_bytes =
-      (static_cast<std::size_t>(len_high.symbol) << 4) | len_low.symbol;
-  const std::size_t psdu_chips = 2 * psdu_bytes * kChipsPerSymbol;
-  const std::size_t total_chips = header_chips + psdu_chips;
-  if (psdu_bytes == 0 || psdu_bytes > kMaxPsduBytes ||
-      waveform.size() < (total_chips + 1) * spc) {
-    return result;
-  }
+  if (!header.psdu_bytes) return result;
+  const std::size_t header_chips = kHeaderSymbols * kChipsPerSymbol;
+  const std::size_t total_chips =
+      header_chips + 2 * *header.psdu_bytes * kChipsPerSymbol;
+  const std::size_t frame_samples = (total_chips + 1) * spc;
+  if (waveform.size() < frame_samples) return result;
   result.phr_ok = true;
   CTC_TELEM_COUNT("zigbee_rx", "phr_ok", 1);
 
-  // The frame length is now known: extend the equalized buffer (copy +
-  // staged cdiv, same per-sample rounding) from the header to exactly the
-  // frame's samples.
-  const std::size_t frame_samples = (total_chips + 1) * spc;
-  equalized.insert(equalized.end(),
-                   waveform.begin() +
-                       static_cast<std::ptrdiff_t>(equalized.size()),
-                   waveform.begin() +
-                       static_cast<std::ptrdiff_t>(frame_samples));
-  if (equalizer_applied) {
-    kt.cdiv(equalized.data() + header_samples,
-            frame_samples - header_samples, h);
-  }
+  // The frame length is now known: extend the header's equalized samples
+  // and chips to exactly the frame's.
+  scratch.equalized = header.equalized;
+  equalize(waveform, frame_samples, h, scratch.equalized);
+  scratch.freq_chips = header.freq_chips;
+  scratch.soft_chips = header.soft_chips;
 
   // Pass 2: the whole frame, so differential chip boundaries carry across
   // the PHR/PSDU seam. The caches already hold the header's chips; only the
-  // PSDU chips are demodulated here.
-  const rvec& all_soft = soft_upto(total_chips);
-  result.soft_chips.assign(all_soft.begin() + header_chips, all_soft.end());
-  const rvec& all_freq = freq_upto(total_chips);
-  result.freq_chips.assign(all_freq.begin() + header_chips, all_freq.end());
+  // PSDU chips (and, for the other tap, the header's) are demodulated here.
+  demodulator_.extend_soft_chips(scratch.equalized, total_chips,
+                                 scratch.soft_chips);
+  result.soft_chips.assign(scratch.soft_chips.begin() + header_chips,
+                           scratch.soft_chips.end());
+  demodulator_.extend_frequency_chips(scratch.equalized, total_chips,
+                                      scratch.freq_chips);
+  result.freq_chips.assign(scratch.freq_chips.begin() + header_chips,
+                           scratch.freq_chips.end());
   result.hard_chips = OqpskDemodulator::hard_decision(result.soft_chips);
 
-  const auto all_symbols = despread_stream(total_chips);
+  const bool differential = config_.profile.demod == DemodKind::differential;
+  const auto all_symbols = despread_chips(
+      differential ? scratch.freq_chips : scratch.soft_chips, config_.profile,
+      total_chips);
   result.psdu_complete = true;
   std::vector<std::uint8_t> symbol_values;
   symbol_values.reserve(all_symbols.size() - kHeaderSymbols);

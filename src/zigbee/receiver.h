@@ -91,6 +91,21 @@ struct ReceiveResult {
   bool frame_ok() const { return shr_ok && phr_ok && psdu_complete && mac.has_value(); }
 };
 
+/// What Receiver::read_header learned from the SHR + PHR: the PHR length
+/// plus the state Receiver::receive(waveform, header) resumes from.
+struct HeaderRead {
+  bool complete = false;  ///< the span held SHR + PHR (else nothing below)
+  bool shr_ok = false;    ///< preamble + SFD recognized
+  /// PSDU length the PHR announces, when it decodes to 1..kMaxPsduBytes.
+  std::optional<std::size_t> psdu_bytes;
+  double timing_offset = 0.0;       ///< clock recovery's estimate
+  cplx channel_estimate{1.0, 0.0};  ///< data-aided h over the SHR
+  cvec equalized;  ///< SHR + PHR samples divided by the channel estimate
+  /// Demodulated header chips (the profile's kind; the other stays empty).
+  rvec freq_chips;
+  rvec soft_chips;
+};
+
 struct ReceiverConfig {
   std::size_t samples_per_chip = 2;
   ReceiverProfile profile;
@@ -108,8 +123,25 @@ class Receiver {
 
   /// Decodes one frame from a synchronized waveform (sample 0 = first sample
   /// of the PPDU). Never throws on bad data — failures are flagged in the
-  /// result.
+  /// result. Reads at most one sample past the PPDU the PHR announces (clock
+  /// recovery's fractional delay looks one sample ahead), so any span that
+  /// holds the PPDU plus one sample decodes exactly as a longer one.
+  /// Exactly receive(waveform, header) after read_header(waveform, header).
   ReceiveResult receive(std::span<const cplx> waveform) const;
+
+  /// receive()'s header pass on its own, for a caller that must learn the
+  /// frame length before the frame body has arrived (the sentry scanner):
+  /// clock recovery, channel estimate, and the SHR + PHR equalization and
+  /// despread. The result depends only on the first SHR + PHR + 1 samples,
+  /// so that is all a caller needs to pass. `header` keeps what the decode
+  /// needs, reusing its buffers. Records no telemetry.
+  void read_header(std::span<const cplx> waveform, HeaderRead& header) const;
+
+  /// Finishes the decode of `waveform` from the header pass `header` ran on
+  /// its first samples, without repeating that pass. Bitwise equal to
+  /// receive(waveform).
+  ReceiveResult receive(std::span<const cplx> waveform,
+                        const HeaderRead& header) const;
 
   /// Searches for the frame start by cross-correlating against the SHR
   /// reference waveform over [0, max_offset]. Returns the best offset or
@@ -127,6 +159,10 @@ class Receiver {
     cvec reference;
     double window_energy = 0.0;
   };
+
+  /// Everything after the header pass: both receive() overloads.
+  ReceiveResult finish(std::span<const cplx> waveform,
+                       const HeaderRead& header) const;
 
   ReceiverConfig config_;
   OqpskDemodulator demodulator_;

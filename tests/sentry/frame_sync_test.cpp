@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "dsp/rng.h"
 #include "sentry/source.h"
 #include "zigbee/transmitter.h"
 
@@ -147,6 +151,140 @@ TEST(StreamScannerTest, PpduSamplesMatchesTransmitterOutput) {
     const bytevec psdu = frame.serialize();
     EXPECT_EQ(StreamScanner::ppdu_samples(psdu.size(), 2),
               tx.transmit_psdu(psdu).size());
+  }
+}
+
+TEST(StreamScannerTest, VerdictFiresOneSampleAfterTheFrame) {
+  // Two frame lengths back to back (31- and 101-byte PSDUs). Pushed one
+  // sample at a time, each verdict must fire on the push that completes
+  // the frame's PPDU plus one sample, not after a 127-byte PPDU's worth.
+  LinkSourceConfig long_frames = quiet_config(3, 2);
+  long_frames.payload_bytes = 90;
+  cvec stream = collect_stream(quiet_config(3, 2));
+  const cvec tail = collect_stream(long_frames);
+  stream.insert(stream.end(), tail.begin(), tail.end());
+
+  std::size_t pushed = 0;
+  bool flushing = false;
+  std::vector<std::size_t> fired_at;
+  std::vector<VerdictRecord> records;
+  StreamScanner scanner({}, 0, [&](const VerdictRecord& record) {
+    fired_at.push_back(flushing ? SIZE_MAX : pushed);
+    records.push_back(record);
+  });
+  while (pushed < stream.size()) {
+    const std::span<const cplx> one(stream.data() + pushed, 1);
+    ++pushed;  // the callback sees the count including this sample
+    scanner.push(one);
+  }
+  flushing = true;
+  scanner.flush();
+
+  ASSERT_EQ(records.size(), 6u);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const VerdictRecord& record = records[i];
+    const std::size_t due = record.stream_position + record.frame_samples + 1;
+    if (due > stream.size()) {
+      EXPECT_EQ(fired_at[i], SIZE_MAX) << "frame " << i;  // only at flush
+    } else {
+      EXPECT_EQ(fired_at[i], due) << "frame " << i;
+    }
+  }
+  EXPECT_EQ(records[0].frame_samples, StreamScanner::ppdu_samples(31, 2));
+  EXPECT_EQ(records[5].frame_samples, StreamScanner::ppdu_samples(101, 2));
+}
+
+TEST(StreamScannerTest, StreamEndingJustAfterTheFrameStillDecodesIt) {
+  // Cuts from the PPDU's last sample to past a 127-byte PPDU window: the
+  // last frame decodes at flush exactly as in the uncut stream.
+  const LinkSourceConfig config = quiet_config(3, 0);
+  const cvec stream = collect_stream(config);
+  const std::size_t frame = StreamScanner::ppdu_samples(31, 2);
+  const std::size_t last_end = 2 * (frame + config.gap_samples) + frame;
+  ASSERT_LE(last_end, stream.size());
+  cvec padded = stream;
+  padded.resize(last_end + StreamScanner::ppdu_samples(127, 2));
+  const ScanOutput whole = scan_stream(padded, 4096);
+  ASSERT_EQ(whole.stats.verdicts, 3u);
+  for (const std::size_t extra : {0UL, 1UL, 2UL, 700UL, 15000UL}) {
+    const ScanOutput cut = scan_stream(
+        std::span<const cplx>(padded.data(), last_end + extra), 4096);
+    EXPECT_EQ(cut.jsonl, whole.jsonl) << "extra=" << extra;
+  }
+}
+
+/// Stream with cf32 precision, as `ctc_sentry live --capture-out` writes it
+/// and `ctc_sentry replay` reads it back.
+cvec quantize_cf32(cvec stream) {
+  for (cplx& sample : stream) {
+    const std::complex<float> narrow(static_cast<float>(sample.real()),
+                                     static_cast<float>(sample.imag()));
+    sample = cplx(narrow.real(), narrow.imag());
+  }
+  return stream;
+}
+
+TEST(StreamScannerTest, NanInTheGapBeforeAnAttackFrameLosesNothing) {
+  // Regression: `ctc_sentry live --frames=12 --attack-every=3` air with one
+  // NaN at sample 25850, 400 samples before the second attack frame.
+  // Unsanitised, the NaN poisons the scan round's prefix energies and hides
+  // the frame at 26250 (11 verdicts, 3 attacks, later indices shifted).
+  LinkSourceConfig config;
+  config.environment = channel::Environment::awgn(15.0);
+  config.frames = 12;
+  config.attack_every = 3;
+  const cvec clean = quantize_cf32(collect_stream(config));
+  ASSERT_EQ(clean.size(), 63000u);
+  cvec damaged = clean;
+  damaged[25850] = cplx(std::numeric_limits<double>::quiet_NaN(), 0.0);
+
+  const ScanOutput reference = scan_stream(clean, 4096);
+  ASSERT_EQ(reference.stats.verdicts, 12u);
+  ASSERT_EQ(reference.stats.verdicts_attack, 4u);
+  EXPECT_EQ(reference.stats.samples_quarantined, 0u);
+  const ScanOutput output = scan_stream(damaged, 4096);
+  EXPECT_EQ(output.jsonl, reference.jsonl);
+  EXPECT_EQ(output.stats.samples_quarantined, 1u);
+}
+
+TEST(StreamScannerTest, NonFiniteBurstsInGapsLeaveEveryFrameByteIdentical) {
+  // Locality: NaN, +-Inf and overflowing bursts at seeded random positions
+  // in the inter-frame gaps (noise-filled, so zeroing really changes the
+  // gap) never lose a frame or change any verdict byte. Bursts stay one
+  // correlation window + hill-climb guard clear of the next frame's start.
+  LinkSourceConfig config = quiet_config(8, 3);
+  config.gap_samples = 3000;
+  cvec stream = collect_stream(config);
+  dsp::Rng rng(0x6c6f63616c);
+  for (cplx& sample : stream) sample += rng.complex_gaussian(1e-3);
+  const ScanOutput reference = scan_stream(stream, 4096);
+  ASSERT_EQ(reference.stats.verdicts, 8u);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const cplx poison[] = {{nan, 0.0}, {0.0, nan}, {inf, 1.0}, {-inf, -inf},
+                         {1e200, 0.0}, {3e154, 3e154}};
+  const std::size_t frame = StreamScanner::ppdu_samples(31, 2);
+  const std::size_t period = frame + config.gap_samples;
+  const std::size_t clearance = 640 + 16 + 64;  // window + guard + burst
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    cvec damaged = stream;
+    std::uint64_t injected = 0;
+    for (std::size_t k = 0; k < config.frames; ++k) {
+      const std::size_t gap_start = k * period + frame + 2;
+      const std::size_t span = config.gap_samples - 2 - clearance;
+      const std::size_t at = gap_start + rng.uniform_index(span);
+      const std::size_t length = 1 + rng.uniform_index(64);
+      for (std::size_t i = 0; i < length && at + i < damaged.size(); ++i) {
+        damaged[at + i] = poison[rng.uniform_index(std::size(poison))];
+        ++injected;
+      }
+    }
+    const std::size_t block = 1 + rng.uniform_index(5000);
+    const ScanOutput output = scan_stream(damaged, block);
+    EXPECT_EQ(output.jsonl, reference.jsonl) << "block=" << block;
+    EXPECT_EQ(output.stats.samples_quarantined, injected);
   }
 }
 

@@ -19,6 +19,10 @@ TEST(TelemetryDisabledTest, MacrosRecordNothingEvenWhenRuntimeEnabled) {
   CTC_TELEM_GAUGE("disabled", "gauge", 1.25);
   CTC_TELEM_HISTO("disabled", "histo", 9);
   { CTC_TELEM_TIMER("disabled", "span"); }
+  std::uint64_t carry = 0;
+  { CTC_TELEM_LAP(carry); }
+  { CTC_TELEM_TIMER("disabled", "carried_span", carry); }
+  EXPECT_EQ(carry, 0u);
   EXPECT_TRUE(collect().empty());
   reset();
   set_enabled(false);

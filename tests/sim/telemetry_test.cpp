@@ -92,6 +92,32 @@ TEST_F(TelemetryTest, NothingIsRecordedWhileDisabled) {
   EXPECT_TRUE(collect().empty());
 }
 
+TEST_F(TelemetryTest, LapsFoldIntoOneCarriedTimerObservation) {
+  // An operation split across calls: two busy laps, then an empty closing
+  // span that must still report the laps' time as its one observation.
+  std::uint64_t carry = 0;
+  volatile double work = 0.0;
+  for (int lap = 0; lap < 2; ++lap) {
+    CTC_TELEM_LAP(carry);
+    for (int i = 0; i < 200000; ++i) work = work + 1.0;
+  }
+  const std::uint64_t laps = carry;
+  EXPECT_GT(laps, 0u);
+  { CTC_TELEM_TIMER("test", "split_op", carry); }
+  const auto metrics = collect();
+  ASSERT_EQ(metrics.size(), 1u);  // a lap records nothing of its own
+  EXPECT_EQ(metrics[0].kind, Kind::timer);
+  EXPECT_EQ(metrics[0].cell.count, 1u);
+  EXPECT_GE(metrics[0].cell.sum, static_cast<double>(laps));
+  EXPECT_EQ(carry, laps);  // the timer reads the carry; the caller resets it
+
+  // Disabled: a lap never reads the clock, so the carry stays untouched.
+  set_enabled(false);
+  std::uint64_t idle = 0;
+  { CTC_TELEM_LAP(idle); }
+  EXPECT_EQ(idle, 0u);
+}
+
 TEST_F(TelemetryTest, CollectSortsByStageThenName) {
   CTC_TELEM_COUNT("zeta", "a", 1);
   CTC_TELEM_COUNT("alpha", "b", 1);

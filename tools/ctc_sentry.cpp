@@ -47,7 +47,6 @@ struct CliOptions {
   std::size_t drain_block = 4096;
   double rate = 0.0;  // samples/sec; 0 = unthrottled
   double threshold = 0.2;
-  std::size_t max_psdu = zigbee::kMaxPsduBytes;
   std::uint64_t seed = 0x5EA15EA1;
   std::uint64_t snapshot_every_ms = 0;  // 0 = no snapshots
   sentry::DrainScheduler scheduler =
@@ -90,7 +89,6 @@ struct CliOptions {
       "  --rate=S            pace ingestion to S samples/sec (default: as\n"
       "                      fast as possible)\n"
       "  --threshold=Q       detector DE^2 threshold (default 0.2)\n"
-      "  --max-psdu=N        largest PSDU the scanner waits for (default 127)\n"
       "  --seed=N            stream seed for the live generator\n"
       "  --snapshot-every-ms=N  print a live counter snapshot JSON line to\n"
       "                      stderr every N ms while running\n"
@@ -172,7 +170,6 @@ CliOptions parse_cli(int argc, char** argv) {
                size_flag("--ring", options.ring) ||
                size_flag("--ingest-block", options.ingest_block) ||
                size_flag("--drain-block", options.drain_block) ||
-               size_flag("--max-psdu", options.max_psdu) ||
                size_flag("--repeat", options.repeat) ||
                size_flag("--frames", options.frames) ||
                size_flag("--attack-every", options.attack_every) ||
@@ -259,7 +256,6 @@ int run(const CliOptions& options) {
   config.channel.ingest_block = options.ingest_block;
   config.channel.drain_block = options.drain_block;
   config.channel.scanner.detector.threshold = options.threshold;
-  config.channel.scanner.max_psdu_bytes = options.max_psdu;
 
   // Shared capture for replay mode (loaded once, reused by every channel);
   // tee sink for live --capture-out.
@@ -341,10 +337,12 @@ int run(const CliOptions& options) {
   std::fprintf(stderr,
                "%s\n"
                "ctc_sentry: %" PRIu64 " samples in, %" PRIu64 " dropped, %"
-               PRIu64 " verdict(s), %" PRIu64 " attack(s)\n",
+               PRIu64 " quarantined, %" PRIu64 " verdict(s), %" PRIu64
+               " attack(s)\n",
                service.counters().snapshot_json().c_str(),
                report.total_ingested(), report.total_dropped(),
-               report.total_verdicts(), report.total_attacks());
+               report.total_quarantined(), report.total_verdicts(),
+               report.total_attacks());
 
   if (sim::telemetry::enabled()) {
     const auto metrics = sim::telemetry::collect();
