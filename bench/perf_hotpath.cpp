@@ -7,12 +7,12 @@
 //
 // Each section times the reference (pre-optimization) path — the test
 // oracles in tests/oracles/ — against the fast path on the same inputs and
-// reports both wall times plus the ratio. Like
-// perf_engine, this JSON intentionally contains wall times — do not use it
-// in the CI determinism diff. The *correctness* of each pair is covered by
-// the equivalence test suites (tests/dsp/convolve_equivalence_test.cpp and
-// friends); this bench only answers "was the rewrite worth it?" and feeds
-// tools/bench_trajectory.py ratio assertions, which are machine-independent.
+// reports both wall times plus the ratio. This JSON intentionally
+// contains wall times — do not use it in the CI determinism diff. The
+// *correctness* of each pair is covered by the equivalence test suites
+// (tests/dsp/convolve_equivalence_test.cpp and friends); this bench only
+// answers "was the rewrite worth it?" and feeds tools/bench_trajectory.py
+// ratio assertions, which are machine-independent.
 #include <chrono>
 #include <cmath>
 

@@ -81,9 +81,7 @@ std::size_t StreamScanner::ppdu_samples(std::size_t psdu_bytes,
 }
 
 std::size_t StreamScanner::decode_need(std::size_t psdu_bytes) const {
-  const std::size_t spc = config_.receiver.samples_per_chip;
-  return std::min(ppdu_samples(psdu_bytes, spc) + 1,
-                  ppdu_samples(zigbee::kMaxPsduBytes, spc));
+  return ppdu_samples(psdu_bytes, config_.receiver.samples_per_chip) + 1;
 }
 
 void StreamScanner::push(std::span<const cplx> samples,

@@ -23,11 +23,11 @@
 // Latency follows each frame's own length. After a sync the scanner waits
 // for the SHR + PHR plus one sample and runs the receiver's header pass
 // (zigbee::Receiver::read_header) to learn the PHR length. A valid length
-// L then waits for the PPDU plus one sample (capped at the 127-byte PPDU)
-// and the decode resumes from that header pass instead of repeating it; an
-// invalid PHR is rejected at once. The extra sample is the one clock
-// recovery's fractional delay may read past the PPDU. A verdict is
-// therefore emitted once the sample after the frame's last is buffered,
+// L in 1..127 then waits for the PPDU plus one sample and the decode
+// resumes from that header pass instead of repeating it; an invalid PHR is
+// rejected at once. The extra sample is the one clock recovery's
+// fractional delay may read past the PPDU. A verdict is therefore emitted
+// once the sample after the frame's last is buffered,
 // plus whatever the caller's block size adds. Both waits are fixed sample
 // counts derived from sample values, so the partition invariance above
 // holds.
@@ -115,8 +115,7 @@ class StreamScanner {
   /// whose norm is not finite.
   void quarantine(std::size_t from);
   /// Samples a frame announcing `psdu_bytes` waits for past its start: its
-  /// PPDU plus the one sample clock recovery may look ahead, capped at the
-  /// 127-byte PPDU (the largest window the receiver is ever handed).
+  /// PPDU plus the one sample clock recovery may look ahead.
   std::size_t decode_need(std::size_t psdu_bytes) const;
 
   const cplx* data() const { return buffer_.data() + start_; }

@@ -12,7 +12,7 @@
 // count, which is the property the replay CI gate diffs. (The ring is
 // still exercised through its atomic producer/consumer protocol; the
 // free-running two-thread arrangement is covered by the TSan stress test
-// and by bench/perf_sentry's latency harness.)
+// and by perfbench's sentry-air latency phase.)
 //
 // Two drain schedulers (ServiceConfig::scheduler):
 //

@@ -155,14 +155,19 @@ TEST(StreamScannerTest, PpduSamplesMatchesTransmitterOutput) {
 }
 
 TEST(StreamScannerTest, VerdictFiresOneSampleAfterTheFrame) {
-  // Two frame lengths back to back (31- and 101-byte PSDUs). Pushed one
-  // sample at a time, each verdict must fire on the push that completes
-  // the frame's PPDU plus one sample, not after a 127-byte PPDU's worth.
+  // Three frame lengths back to back (31-, 101- and 127-byte PSDUs).
+  // Pushed one sample at a time, each verdict must fire on the push that
+  // completes the frame's PPDU plus one sample, not after a 127-byte
+  // PPDU's worth — and a 127-byte frame, too, waits for that one sample.
   LinkSourceConfig long_frames = quiet_config(3, 2);
   long_frames.payload_bytes = 90;
+  LinkSourceConfig largest_frames = quiet_config(2, 2);
+  largest_frames.payload_bytes = 116;
   cvec stream = collect_stream(quiet_config(3, 2));
-  const cvec tail = collect_stream(long_frames);
-  stream.insert(stream.end(), tail.begin(), tail.end());
+  for (const LinkSourceConfig& config : {long_frames, largest_frames}) {
+    const cvec tail = collect_stream(config);
+    stream.insert(stream.end(), tail.begin(), tail.end());
+  }
 
   std::size_t pushed = 0;
   bool flushing = false;
@@ -180,7 +185,7 @@ TEST(StreamScannerTest, VerdictFiresOneSampleAfterTheFrame) {
   flushing = true;
   scanner.flush();
 
-  ASSERT_EQ(records.size(), 6u);
+  ASSERT_EQ(records.size(), 8u);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const VerdictRecord& record = records[i];
     const std::size_t due = record.stream_position + record.frame_samples + 1;
@@ -192,6 +197,7 @@ TEST(StreamScannerTest, VerdictFiresOneSampleAfterTheFrame) {
   }
   EXPECT_EQ(records[0].frame_samples, StreamScanner::ppdu_samples(31, 2));
   EXPECT_EQ(records[5].frame_samples, StreamScanner::ppdu_samples(101, 2));
+  EXPECT_EQ(records[7].frame_samples, StreamScanner::ppdu_samples(127, 2));
 }
 
 TEST(StreamScannerTest, StreamEndingJustAfterTheFrameStillDecodesIt) {

@@ -2,11 +2,11 @@
 //
 // The sentry scanner runs the receiver's header pass on SHR + PHR + 1
 // samples, then hands the decode the frame's PPDU plus one sample rather
-// than a 127-byte PPDU. That is only sound if receive() reads nothing past
-// PPDU + 1 — clock recovery's fractional delay looks at most one sample
-// ahead — and if resuming from the early header pass equals a one-shot
-// decode. So every field of the result must be
-// bitwise identical whichever of those windows (or any length between
+// than the largest frame's (127-byte PPDU plus one). That is only sound if
+// receive() reads nothing past PPDU + 1 — clock recovery's fractional
+// delay looks at most one sample ahead — and if resuming from the early
+// header pass equals a one-shot decode. So every field of the result must
+// be bitwise identical whichever of those windows (or any length between
 // them, as a stream cut at flush leaves) it is given, one-shot or resumed,
 // with whatever follows the frame in the stream.
 #include <gtest/gtest.h>
@@ -70,8 +70,10 @@ TEST_P(ReceiveWindowTest, PpduPlusOneSampleDecodesLikeTheMaximumWindow) {
   const Receiver receiver = make_receiver();
   dsp::Rng rng(0x77696e64);
   const std::size_t header_window = tx.transmit_psdu(bytevec{}).size() + 1;
+  // The reference window: a 127-byte PPDU plus one sample, the most any
+  // frame is decoded from.
   const std::size_t max_window =
-      tx.transmit_psdu(bytevec(kMaxPsduBytes, 0)).size();
+      tx.transmit_psdu(bytevec(kMaxPsduBytes, 0)).size() + 1;
 
   for (std::size_t length = 1; length <= kMaxPsduBytes; ++length) {
     SCOPED_TRACE("psdu bytes " + std::to_string(length));
@@ -97,10 +99,8 @@ TEST_P(ReceiveWindowTest, PpduPlusOneSampleDecodesLikeTheMaximumWindow) {
         rng);
     const std::span<const cplx> air(stream);
 
-    // The scanner's window: PPDU + 1, capped at the 127-byte PPDU (a
-    // 127-byte frame keeps the window it always had, whose retimed last
-    // sample interpolates toward zero rather than toward the next sample).
-    const std::size_t exact = std::min(frame.size() + 1, max_window);
+    // The scanner's window: PPDU + 1, for every length.
+    const std::size_t exact = frame.size() + 1;
     // With clock recovery the reference comes from the per-call oracle,
     // which retimes the whole window before decoding, so a header pass
     // that retimed too little would show.

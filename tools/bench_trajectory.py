@@ -1,55 +1,66 @@
 #!/usr/bin/env python3
 """Append bench JSON reports to a trajectory file and gate on regressions.
 
-The bench binaries emit a one-line JSON report with ``--json`` (and a richer
-telemetry document with ``--telemetry-out``).  This tool maintains the
-machine-readable *trajectory* of those reports across CI runs so throughput
-changes are visible over time, and fails the build when the latest
-``perf_engine`` run regresses too far.
+Two kinds of run report feed the *trajectory*, the machine-readable record
+of throughput and latency across changes:
+
+* the result line of ``perfbench/run.py``, the repository benchmark:
+  ``{"correct", "attempted", "failed", "metrics"}``, where each metric is
+  ``{"value": ..., "unit": ...}``.  The line carries no workload name, so
+  ``append --bench WORKLOAD`` names it;
+* the one-line JSON a ``bench/`` binary prints with ``--json``, which names
+  itself in its ``bench`` field (``perf_hotpath``'s kernel ratios).
 
 Subcommands
 -----------
 append   Read one run report (a file whose last non-empty line is the JSON
-         object a bench printed) and append it to the trajectory file::
+         object) and append it to the trajectory file::
 
-             ./build/bench/perf_engine --trials=120 --json | tail -n1 > run.json
-             python3 tools/bench_trajectory.py append \
-                 --run run.json --trajectory BENCH_telemetry.json --label "$SHA"
+             python3 perfbench/run.py --workload sentry-air --seed 1 \
+                 --seconds 10 --trace 0 > run.txt
+             python3 tools/bench_trajectory.py append --run run.txt \
+                 --bench sentry-air --trajectory BENCH_telemetry.json \
+                 --label "$SHA"
 
-check    Gate: compute perf_engine throughput (trials / wall_ms_wide) for
-         every run in the trajectory and compare the latest against the best
-         earlier run.  Exits non-zero when the latest throughput dropped by
-         more than ``--max-regression`` (default 0.25, i.e. >25% slower)::
+         A perfbench line is stored flattened as ``{"bench": WORKLOAD,
+         "correct", "attempted", "failed", METRIC: value, ...}``.  A line
+         with ``correct: false``, ``failed > 0`` or keys other than those
+         four is refused and the trajectory file is left untouched, as is
+         a perfbench line without ``--bench``.
+
+check    Gate: for every workload, compare the latest ``trials_per_s``
+         against the best earlier entry of that workload.  Exits non-zero
+         when it dropped by more than ``--max-regression`` (default 0.25,
+         i.e. >25% slower)::
 
              python3 tools/bench_trajectory.py check --trajectory BENCH_telemetry.json
 
          Wall-clock throughput is only comparable between runs recorded on
          the same machine, so ``append`` stamps each entry with a machine
-         fingerprint and ``check`` compares the latest run only against
-         earlier entries carrying the same fingerprint (entries without one,
-         from older trajectories, match anything).
+         fingerprint (system, architecture, CPU count) and ``check``
+         compares the latest run only against earlier entries carrying the
+         same fingerprint (entries without one, from older trajectories,
+         match anything).
 
-         Two machine-independent assertions complement the wall-clock gate
-         (speedup *ratios* within one report, or between two runs of the
-         same machine, transfer across hosts):
+         Two more assertions complement the wall-clock gate:
 
          ``--require BENCH:FIELD>=VALUE`` asserts a numeric field of the
-         latest BENCH report (repeatable; ops ``>= <= > < ==``)::
+         latest BENCH entry (repeatable; ops ``>= <= > < ==``)::
 
-             ... check --trajectory t.json --require 'perf_hotpath:convolve_speedup>=1.5'
+             ... check --trajectory t.json --require 'sentry-air:msamples_per_s>=16'
 
          ``--require-speedup BENCH>=FACTOR`` asserts that the latest BENCH
          run improved single-thread throughput by at least FACTOR over the
          *earliest* same-machine BENCH run — the committed pre/post pair
-         that records an optimization PR's win.  Unlike the regression
-         check, this fails when no comparable pair exists: a gate that
-         cannot find its baseline must not silently pass.
+         that records an optimization's win.  Unlike the regression check,
+         this fails when no comparable pair exists: a gate that cannot find
+         its baseline must not silently pass.
 
 The trajectory file is a single JSON object ``{"trajectory_schema": 1,
 "runs": [...]}``; each entry is ``{"label": ..., "machine": ...,
-"report": {...}}`` where ``report`` is the bench's JSON verbatim.  Fewer
-than two perf_engine entries (a fresh trajectory, or a cache miss in CI)
-passes the regression check trivially.
+"report": {...}}``.  A workload with fewer than two same-machine entries
+(a fresh trajectory, or a cache miss in CI) passes the regression check
+trivially.
 
 Standard library only — no third-party imports.
 """
@@ -65,6 +76,9 @@ import sys
 from pathlib import Path
 
 TRAJECTORY_SCHEMA = 1
+
+# The four keys of a perfbench/run.py result line.
+PERFBENCH_KEYS = {"correct", "attempted", "failed", "metrics"}
 
 _REQUIRE_RE = re.compile(
     r"^(?P<bench>[\w.-]+):(?P<field>[\w.]+)\s*(?P<op>>=|<=|==|>|<)\s*"
@@ -105,8 +119,30 @@ def _load_trajectory(path: Path) -> dict:
     return data
 
 
-def _load_run_report(path: Path) -> dict:
-    """Parse the last non-empty line of ``path`` as a bench JSON report."""
+def _perfbench_entry(path: Path, line: dict, bench: str) -> dict:
+    """Flatten a perfbench result line into a trajectory report named
+    ``bench``; refuse a line that is not a clean, fully checked run."""
+    if set(line) != PERFBENCH_KEYS:
+        raise SystemExit(f"{path}: perfbench result keys {sorted(line)} != "
+                         f"{sorted(PERFBENCH_KEYS)}")
+    if line["correct"] is not True:
+        raise SystemExit(f"{path}: perfbench run is not correct; not recorded")
+    if line["failed"] != 0:
+        raise SystemExit(f"{path}: perfbench run failed {line['failed']!r} "
+                         "operation(s); not recorded")
+    try:
+        values = {name: metric["value"]
+                  for name, metric in line["metrics"].items()}
+    except (AttributeError, KeyError, TypeError):
+        raise SystemExit(f"{path}: perfbench metrics are not "
+                         "{NAME: {\"value\": ...}} objects") from None
+    return {"bench": bench, "correct": True, "attempted": line["attempted"],
+            "failed": 0, **values}
+
+
+def _load_run_report(path: Path, bench: str) -> dict:
+    """Parse the last non-empty line of ``path``: a bench ``--json`` report
+    (``bench`` empty) or a perfbench result line named ``bench``."""
     lines = [line for line in path.read_text(encoding="utf-8").splitlines()
              if line.strip()]
     if not lines:
@@ -115,7 +151,14 @@ def _load_run_report(path: Path) -> dict:
         report = json.loads(lines[-1])
     except json.JSONDecodeError as error:
         raise SystemExit(f"{path}: last line is not JSON: {error}") from error
-    if not isinstance(report, dict) or "bench" not in report:
+    if not isinstance(report, dict):
+        raise SystemExit(f"{path}: last line is not a JSON object")
+    if bench:
+        return _perfbench_entry(path, report, bench)
+    if "metrics" in report:
+        raise SystemExit(f"{path}: a perfbench result line needs "
+                         "--bench WORKLOAD")
+    if "bench" not in report:
         raise SystemExit(f"{path}: report has no 'bench' field")
     return report
 
@@ -123,7 +166,7 @@ def _load_run_report(path: Path) -> dict:
 def cmd_append(args: argparse.Namespace) -> int:
     trajectory_path = Path(args.trajectory)
     trajectory = _load_trajectory(trajectory_path)
-    report = _load_run_report(Path(args.run))
+    report = _load_run_report(Path(args.run), args.bench)
     label = args.label if args.label else f"run-{len(trajectory['runs'])}"
     machine = args.machine if args.machine else machine_fingerprint()
     trajectory["runs"].append(
@@ -136,24 +179,12 @@ def cmd_append(args: argparse.Namespace) -> int:
     return 0
 
 
-def _perf_throughput(report: dict) -> float | None:
-    """trials / wall_ms_wide for a perf_engine report, else None."""
-    if report.get("bench") != "perf_engine":
-        return None
-    trials = report.get("trials")
-    wall_ms = report.get("wall_ms_wide")
-    if not isinstance(trials, (int, float)) or not isinstance(wall_ms, (int, float)):
-        return None
-    if wall_ms <= 0:
-        return None
-    return float(trials) / float(wall_ms)
-
-
 def _single_thread_throughput(report: dict, bench: str) -> float | None:
     """Single-thread throughput for a report of ``bench``, else None.
 
-    perf_sentry reports carry their single-channel rate directly as
-    ``sustained_msamples_per_sec``; everything else derives
+    Reads the committed pre/post pairs of the retired ``bench/`` engine and
+    sentry benches: perf_sentry reports carry their single-channel rate
+    directly as ``sustained_msamples_per_sec``; everything else derives
     trials / single-thread wall ms."""
     if report.get("bench") != bench:
         return None
@@ -171,37 +202,58 @@ def _single_thread_throughput(report: dict, bench: str) -> float | None:
     return float(trials) / float(wall_ms)
 
 
+def _trials_per_s(entry: dict) -> float | None:
+    """The entry's positive ``trials_per_s`` (a perfbench workload), else
+    None."""
+    value = entry.get("report", {}).get("trials_per_s")
+    if isinstance(value, (int, float)) and value > 0:
+        return float(value)
+    return None
+
+
 def _check_regression(runs: list[dict], max_regression: float) -> bool:
-    """Wall-clock gate: latest perf_engine run vs the best earlier run on
-    the same machine. Passes trivially without a comparable pair (a fresh
-    trajectory, or the first run on a new machine)."""
-    perf = [entry for entry in runs
-            if _perf_throughput(entry.get("report", {})) is not None]
-    if len(perf) < 2:
-        print(f"only {len(perf)} perf_engine run(s) in trajectory; "
-              "nothing to compare — pass")
-        return True
-    latest_entry = perf[-1]
-    comparable = [entry for entry in perf[:-1]
-                  if _same_machine(entry, latest_entry)]
-    if not comparable:
-        print("no earlier perf_engine run on this machine; "
-              "wall-clock comparison skipped — pass")
-        return True
-    latest = _perf_throughput(latest_entry["report"])
-    best_entry = max(comparable,
-                     key=lambda entry: _perf_throughput(entry["report"]))
-    best = _perf_throughput(best_entry["report"])
-    drop = 1.0 - latest / best
-    print(f"perf_engine throughput (trials/ms): latest "
-          f"'{latest_entry.get('label', '?')}' = {latest:.3f}, best earlier "
-          f"'{best_entry.get('label', '?')}' = {best:.3f} "
-          f"({drop:+.1%} regression)")
-    if drop > max_regression:
-        print(f"FAIL: throughput dropped {drop:.1%} > "
-              f"{max_regression:.0%} allowed", file=sys.stderr)
-        return False
-    return True
+    """Wall-clock gate: per workload, the latest ``trials_per_s`` vs the
+    best earlier entry on the same machine. A workload without a comparable
+    pair (a fresh trajectory, or the first run on a new machine) passes."""
+    by_bench: dict[str, list[dict]] = {}
+    for entry in runs:
+        if _trials_per_s(entry) is not None:
+            by_bench.setdefault(entry["report"]["bench"], []).append(entry)
+    if not by_bench:
+        print("no trials_per_s entries in trajectory; nothing to compare "
+              "— pass")
+    ok = True
+    for bench, entries in by_bench.items():
+        latest_entry = entries[-1]
+        comparable = [entry for entry in entries[:-1]
+                      if _same_machine(entry, latest_entry)]
+        if not comparable:
+            print(f"{bench}: no earlier run on this machine; wall-clock "
+                  "comparison skipped — pass")
+            continue
+        latest = _trials_per_s(latest_entry)
+        best_entry = max(comparable, key=_trials_per_s)
+        best = _trials_per_s(best_entry)
+        drop = 1.0 - latest / best
+        print(f"{bench} trials_per_s: latest "
+              f"'{latest_entry.get('label', '?')}' = {latest:.3f}, best "
+              f"earlier '{best_entry.get('label', '?')}' = {best:.3f} "
+              f"({drop:+.1%} regression)")
+        if drop > max_regression:
+            print(f"FAIL: {bench} trials_per_s dropped {drop:.1%} > "
+                  f"{max_regression:.0%} allowed", file=sys.stderr)
+            ok = False
+    return ok
+
+
+def _bound(text: str, flag: str, expr: str) -> float:
+    """The numeric bound of a --require/--require-speedup expression; a
+    malformed number is a usage error, like a malformed expression."""
+    try:
+        return float(text)
+    except ValueError:
+        raise SystemExit(
+            f"{flag} {expr!r}: {text!r} is not a number") from None
 
 
 def _check_require(runs: list[dict], expr: str) -> bool:
@@ -212,7 +264,7 @@ def _check_require(runs: list[dict], expr: str) -> bool:
     if not match:
         raise SystemExit(f"--require {expr!r}: expected BENCH:FIELD>=VALUE")
     bench, field = match["bench"], match["field"]
-    op, bound = match["op"], float(match["value"])
+    op, bound = match["op"], _bound(match["value"], "--require", expr)
     latest = None
     for entry in runs:
         if entry.get("report", {}).get("bench") == bench:
@@ -243,7 +295,8 @@ def _check_require_speedup(runs: list[dict], expr: str) -> bool:
     if not match:
         raise SystemExit(
             f"--require-speedup {expr!r}: expected BENCH>=FACTOR")
-    bench, factor = match["bench"], float(match["factor"])
+    bench = match["bench"]
+    factor = _bound(match["factor"], "--require-speedup", expr)
     entries = [entry for entry in runs
                if _single_thread_throughput(entry.get("report", {}), bench)
                is not None]
@@ -291,7 +344,11 @@ def main(argv: list[str] | None = None) -> int:
 
     append = sub.add_parser("append", help="append a run report to the trajectory")
     append.add_argument("--run", required=True,
-                        help="file whose last line is the bench --json report")
+                        help="file whose last line is a bench --json report "
+                             "or a perfbench result line")
+    append.add_argument("--bench", default="",
+                        help="workload name of a perfbench result line "
+                             "(required for one, refused otherwise)")
     append.add_argument("--trajectory", required=True,
                         help="trajectory JSON file (created if missing)")
     append.add_argument("--label", default="",
@@ -301,7 +358,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: auto-detected)")
     append.set_defaults(func=cmd_append)
 
-    check = sub.add_parser("check", help="fail on perf_engine throughput regression")
+    check = sub.add_parser("check", help="fail on a per-workload "
+                                         "trials_per_s regression")
     check.add_argument("--trajectory", required=True)
     check.add_argument("--max-regression", type=float, default=0.25,
                        help="maximum tolerated fractional drop (default 0.25)")

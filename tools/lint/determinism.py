@@ -54,9 +54,6 @@ RNG_ALLOWLIST = {
 CLOCK_ALLOWLIST = {
     "src/sim/telemetry.h": "the telemetry timer layer (ScopedTimer)",
     "src/sim/telemetry.cpp": "the telemetry timer layer",
-    "bench/perf_engine.cpp":
-        "throughput bench: wall time IS the measurand (trajectory-gated, "
-        "never diffed for determinism)",
     "bench/ablation_likelihood.cpp":
         "latency ablation: reports per-call wall time by design",
     "bench/perf_hotpath.cpp":
@@ -68,12 +65,6 @@ CLOCK_ALLOWLIST = {
         "clock-free (gated by tools/sentry_determinism.sh)",
     "src/sentry/source.cpp":
         "RateLimitedSource sleep_until pacing — same rationale as source.h",
-    "bench/perf_sentry.cpp":
-        "throughput/latency bench: wall time IS the measurand "
-        "(trajectory-gated, never diffed for determinism)",
-    "bench/perf_mesh.cpp":
-        "sensor-field throughput bench: wall time IS the measurand "
-        "(trajectory-gated, never diffed for determinism)",
 }
 TELEM_ALLOWLIST = {
     "src/sim/telemetry.h": "defines the timer machinery",

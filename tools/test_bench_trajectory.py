@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import tempfile
 import unittest
 from pathlib import Path
@@ -15,7 +16,20 @@ bench_trajectory = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_trajectory)
 
 
+def perfbench_line(trials_per_s: float = 100.0, **overrides) -> dict:
+    """A perfbench/run.py result line; ``overrides`` replace or add keys."""
+    line = {"correct": True, "attempted": 400, "failed": 0, "metrics": {
+        "setup_s": {"value": 0.08, "unit": "s"},
+        "trials_per_s": {"value": trials_per_s, "unit": "1/s"},
+        "verdict_latency_p50_ms": {"value": 0.32, "unit": "ms"},
+    }}
+    line.update(overrides)
+    return line
+
+
 def perf_report(trials: int, wall_ms: float) -> dict:
+    """A report of the retired engine bench, as the committed pre/post
+    pairs that --require-speedup reads still carry it."""
     return {"bench": "perf_engine", "seed": 20190707, "trials": trials,
             "wall_ms_wide": wall_ms}
 
@@ -34,15 +48,23 @@ class TrajectoryTestCase(unittest.TestCase):
                         encoding="utf-8")
         return path
 
-    def append(self, report: dict, label: str = "", machine: str = "") -> int:
+    def append(self, report: dict, label: str = "", machine: str = "",
+               bench: str = "") -> int:
         run = self.write_run(report)
         argv = ["append", "--run", str(run), "--trajectory",
                 str(self.trajectory)]
+        if bench:
+            argv += ["--bench", bench]
         if label:
             argv += ["--label", label]
         if machine:
             argv += ["--machine", machine]
         return bench_trajectory.main(argv)
+
+    def append_workload(self, bench: str, trials_per_s: float,
+                        label: str = "", machine: str = "") -> int:
+        return self.append(perfbench_line(trials_per_s), label, machine,
+                           bench=bench)
 
     def check(self, max_regression: float | None = None,
               require: list[str] | None = None,
@@ -59,14 +81,47 @@ class TrajectoryTestCase(unittest.TestCase):
     # -- append ---------------------------------------------------------------
 
     def test_append_creates_trajectory_and_accumulates_runs(self) -> None:
-        self.assertEqual(self.append(perf_report(100, 10.0), "first"), 0)
-        self.assertEqual(self.append(perf_report(100, 11.0)), 0)
+        self.assertEqual(self.append_workload("trial-fresh", 100.0, "first"),
+                         0)
+        self.assertEqual(self.append(self.hotpath_report(7.0, 1.3)), 0)
         data = json.loads(self.trajectory.read_text(encoding="utf-8"))
         self.assertEqual(data["trajectory_schema"], 1)
         self.assertEqual(len(data["runs"]), 2)
         self.assertEqual(data["runs"][0]["label"], "first")
         self.assertEqual(data["runs"][1]["label"], "run-1")  # default label
-        self.assertEqual(data["runs"][0]["report"]["trials"], 100)
+        self.assertEqual(data["runs"][1]["report"]["convolve_speedup"], 7.0)
+
+    def test_append_flattens_perfbench_line(self) -> None:
+        self.assertEqual(self.append_workload("sentry-air", 1625.5), 0)
+        data = json.loads(self.trajectory.read_text(encoding="utf-8"))
+        entry = data["runs"][0]
+        self.assertEqual(entry["report"], {
+            "bench": "sentry-air", "correct": True, "attempted": 400,
+            "failed": 0, "setup_s": 0.08, "trials_per_s": 1625.5,
+            "verdict_latency_p50_ms": 0.32})
+        # The fingerprint carries the CPU count: a 1-CPU and a 4-CPU run
+        # of the same workload never gate each other.
+        self.assertEqual(entry["machine"],
+                         bench_trajectory.machine_fingerprint())
+        self.assertTrue(entry["machine"].endswith(f"-{os.cpu_count()}cpu"))
+
+    def test_append_refuses_bad_perfbench_lines_untouched(self) -> None:
+        self.append_workload("trial-fresh", 100.0, "kept")
+        before = self.trajectory.read_bytes()
+        refused = {
+            "correct false": (perfbench_line(correct=False), "trial-fresh"),
+            "failed 1": (perfbench_line(failed=1), "trial-fresh"),
+            "extra key": (perfbench_line(seed=1), "trial-fresh"),
+            "no --bench": (perfbench_line(), ""),
+            "metric without value": (
+                perfbench_line(metrics={"trials_per_s": 1.0}), "trial-fresh"),
+            "--bench on a bench report": (self.hotpath_report(7.0, 1.3),
+                                          "perf_hotpath"),
+        }
+        for case, (line, bench) in refused.items():
+            with self.subTest(case), self.assertRaises(SystemExit):
+                self.append(line, bench=bench)
+            self.assertEqual(self.trajectory.read_bytes(), before, case)
 
     def test_append_rejects_run_without_bench_field(self) -> None:
         run = self.write_run({"seed": 1})
@@ -91,7 +146,7 @@ class TrajectoryTestCase(unittest.TestCase):
             json.dumps({"trajectory_schema": 99, "runs": []}),
             encoding="utf-8")
         with self.assertRaises(SystemExit):
-            self.append(perf_report(1, 1.0))
+            self.append_workload("trial-fresh", 100.0)
         self.trajectory.write_text(json.dumps({"no_runs": True}),
                                    encoding="utf-8")
         with self.assertRaises(SystemExit):
@@ -99,43 +154,62 @@ class TrajectoryTestCase(unittest.TestCase):
 
     # -- check ----------------------------------------------------------------
 
-    def test_check_passes_trivially_with_fewer_than_two_perf_runs(self) -> None:
+    def test_check_passes_trivially_with_fewer_than_two_runs(self) -> None:
         self.assertEqual(self.check(), 0)  # missing file == empty trajectory
-        self.append(perf_report(100, 10.0))
-        self.append({"bench": "table2_attack_awgn", "seed": 1})  # not perf
+        self.append_workload("trial-fresh", 100.0)
+        self.append_workload("mesh-repeat", 10.0)   # another workload
+        self.append(self.hotpath_report(7.0, 1.3))  # no trials_per_s
         self.assertEqual(self.check(), 0)
 
     def test_check_passes_within_regression_budget(self) -> None:
-        self.append(perf_report(100, 10.0), "base")     # 10 trials/ms
-        self.append(perf_report(100, 12.0), "latest")   # -16.7%
-        self.assertEqual(self.check(), 0)               # default budget 25%
+        self.append_workload("trial-fresh", 100.0, "base")
+        self.append_workload("trial-fresh", 83.3, "latest")   # -16.7%
+        self.assertEqual(self.check(), 0)                     # default 25%
 
     def test_check_fails_beyond_regression_budget(self) -> None:
-        self.append(perf_report(100, 10.0), "base")
-        self.append(perf_report(100, 20.0), "latest")   # -50%
+        self.append_workload("trial-fresh", 100.0, "base")
+        self.append_workload("trial-fresh", 50.0, "latest")   # -50%
         self.assertEqual(self.check(), 1)
         self.assertEqual(self.check(max_regression=0.6), 0)  # widened budget
 
     def test_check_compares_latest_against_best_earlier(self) -> None:
-        self.append(perf_report(100, 20.0), "slow-start")   # 5 trials/ms
-        self.append(perf_report(100, 10.0), "best")         # 10 trials/ms
-        self.append(perf_report(100, 13.0), "latest")       # -23% vs best
+        self.append_workload("mesh-repeat", 250.0, "slow-start")
+        self.append_workload("mesh-repeat", 500.0, "best")
+        self.append_workload("mesh-repeat", 385.0, "latest")  # -23% vs best
         self.assertEqual(self.check(), 0)
-        self.append(perf_report(100, 16.0), "regressed")    # -37.5% vs best
+        self.append_workload("mesh-repeat", 312.5, "regressed")  # -37.5%
+        self.assertEqual(self.check(), 1)
+
+    def test_check_gates_each_workload_separately(self) -> None:
+        # Workloads never compare with one another: mesh-repeat's 500/s is
+        # no baseline for trial-fresh's 100/s ...
+        self.append_workload("mesh-repeat", 500.0)
+        self.append_workload("trial-fresh", 100.0)
+        self.assertEqual(self.check(), 0)
+        # ... and a regression in one is not hidden by a later entry of
+        # another.
+        self.append_workload("mesh-repeat", 200.0)   # -60%
+        self.append_workload("trial-fresh", 110.0)
         self.assertEqual(self.check(), 1)
 
     def test_check_ignores_runs_without_usable_throughput(self) -> None:
-        self.append({"bench": "perf_engine", "trials": 100})           # no wall
-        self.append({"bench": "perf_engine", "trials": 100,
-                     "wall_ms_wide": 0})                               # div by 0
-        self.append(perf_report(100, 10.0))
+        self.append_workload("trial-fresh", 100.0)
+        self.append_workload("trial-fresh", 0.0)          # not a rate
+        self.append(perfbench_line(metrics={}), bench="trial-fresh")
         self.assertEqual(self.check(), 0)  # only one usable run -> pass
+
+    def test_check_ignores_retired_engine_entries(self) -> None:
+        # The committed perf_engine pairs carry no trials_per_s; a 50% drop
+        # between them is history, not a regression.
+        self.append(perf_report(100, 10.0), "pre", machine="m")
+        self.append(perf_report(100, 20.0), "post", machine="m")
+        self.assertEqual(self.check(), 0)
 
     # -- machine awareness ----------------------------------------------------
 
     def test_append_stamps_machine_fingerprint(self) -> None:
-        self.append(perf_report(100, 10.0))
-        self.append(perf_report(100, 10.0), machine="ci-runner")
+        self.append_workload("trial-fresh", 100.0)
+        self.append_workload("trial-fresh", 100.0, machine="ci-runner")
         data = json.loads(self.trajectory.read_text(encoding="utf-8"))
         self.assertEqual(data["runs"][0]["machine"],
                          bench_trajectory.machine_fingerprint())
@@ -144,22 +218,25 @@ class TrajectoryTestCase(unittest.TestCase):
     def test_check_skips_wall_comparison_across_machines(self) -> None:
         # A 50% drop vs a *different* machine's run must not fail — wall
         # clock only compares within one fingerprint.
-        self.append(perf_report(100, 10.0), "dev", machine="dev-box")
-        self.append(perf_report(100, 20.0), "ci", machine="ci-runner")
+        self.append_workload("trial-fresh", 100.0, "dev", machine="dev-box")
+        self.append_workload("trial-fresh", 50.0, "ci", machine="ci-runner")
         self.assertEqual(self.check(), 0)
         # Same drop on the same machine still fails.
-        self.append(perf_report(100, 10.0), "ci-base", machine="ci-runner")
-        self.append(perf_report(100, 20.0), "ci-slow", machine="ci-runner")
+        self.append_workload("trial-fresh", 100.0, "ci-base",
+                             machine="ci-runner")
+        self.append_workload("trial-fresh", 50.0, "ci-slow",
+                             machine="ci-runner")
         self.assertEqual(self.check(), 1)
 
     def test_check_treats_untagged_legacy_entries_as_comparable(self) -> None:
         # Entries written before machine stamping (edited in by hand here)
         # must keep gating runs from any machine.
         data = {"trajectory_schema": 1, "runs": [
-            {"label": "legacy", "report": perf_report(100, 10.0)},
+            {"label": "legacy",
+             "report": {"bench": "trial-fresh", "trials_per_s": 100.0}},
         ]}
         self.trajectory.write_text(json.dumps(data), encoding="utf-8")
-        self.append(perf_report(100, 20.0), "now", machine="ci-runner")
+        self.append_workload("trial-fresh", 50.0, "now", machine="ci-runner")
         self.assertEqual(self.check(), 1)
 
     # -- --require ------------------------------------------------------------
@@ -186,6 +263,31 @@ class TrajectoryTestCase(unittest.TestCase):
         self.append(self.hotpath_report(7.0, 1.3))
         with self.assertRaises(SystemExit):
             self.check(require=["not an expression"])
+
+    def test_malformed_bounds_are_usage_errors(self) -> None:
+        # Both match the expression grammar but are not numbers: a usage
+        # error (SystemExit), never a ValueError traceback.
+        self.append(self.hotpath_report(7.0, 1.3))
+        with self.assertRaises(SystemExit):
+            self.check(require=["perf_hotpath:convolve_speedup>=1..2"])
+        with self.assertRaises(SystemExit):
+            self.check(require_speedup=["perf_hotpath>=e"])
+
+    def test_require_reads_flattened_workload_metrics(self) -> None:
+        self.append_workload("sentry-air", 1600.0, "old")
+        self.append(perfbench_line(metrics={
+            "msamples_per_s": {"value": 30.8, "unit": "Msample/s"},
+            "verdict_latency_p50_ms": {"value": 0.31, "unit": "ms"},
+        }), "new", bench="sentry-air")
+        self.assertEqual(self.check(require=[
+            "sentry-air:msamples_per_s>=16",
+            "sentry-air:verdict_latency_p50_ms<=0.5"]), 0)
+        self.assertEqual(
+            self.check(require=["sentry-air:verdict_latency_p50_ms<=0.3"]), 1)
+        # The latest sentry-air entry has no trials_per_s: the field is
+        # looked up there only, never in an older entry.
+        self.assertEqual(
+            self.check(require=["sentry-air:trials_per_s>=1"]), 1)
 
     # -- --require-speedup ----------------------------------------------------
 

@@ -126,7 +126,7 @@ class ShellRule(CheckDocsFixture):
 
     def test_relative_path_and_variable_heads_allowed(self):
         self.write("README.md", self.base_readme(
-            "```sh\n./build/bench/perf_engine --json | tail -n1\n"
+            "```sh\n./build/bench/perf_hotpath --json | tail -n1\n"
             "$bench --dry-run\n```\n"))
         status, output = self.run_check()
         self.assertEqual(status, 0, output)

@@ -421,7 +421,7 @@ class CliTest(unittest.TestCase):
             "schema-docs", "telemetry-registry", "stream-ids", "rng",
             "clock", "unordered-iter", "telem-mix", "intrinsics"])
         self.assertIn("allowlist [clock]:", result.stdout)
-        self.assertIn("bench/perf_mesh.cpp:", result.stdout)
+        self.assertIn("bench/perf_hotpath.cpp:", result.stdout)
 
     def test_report_file_and_file_filter(self):
         with tempfile.TemporaryDirectory() as tmp:
